@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import models
 from .errors import (BudgetError, ConfigError, ContractError, FormatError,
                      ShapeError)
@@ -87,12 +88,13 @@ def mc_dropout_probs(rot_model: models.RotationClassifierParams, x: np.ndarray,
     b = x.shape[0]
     p = rot_model.trunk.embed_dim
     out = np.empty((b, t_passes, 4))
-    for t in range(t_passes):
-        if rot_model.dropout_rate == 0.0:
-            mask = np.ones((b, p))
-        else:
-            mask = (rng.random((b, p)) < keep).astype(np.float64) / keep
-        out[:, t, :] = models.rotation_predict(rot_model, x, mask=mask).data
+    with ad.no_grad():
+        for t in range(t_passes):
+            if rot_model.dropout_rate == 0.0:
+                mask = np.ones((b, p))
+            else:
+                mask = (rng.random((b, p)) < keep).astype(np.float64) / keep
+            out[:, t, :] = models.rotation_predict(rot_model, x, mask=mask).data
     return out
 
 

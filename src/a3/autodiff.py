@@ -57,7 +57,7 @@ NORM_EPS = 1e-12  # added to L2 norms before division
 class Tensor:
     """A dense float64 array, optionally tracked on the active gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "node")
+    __slots__ = ("data", "requires_grad", "grad", "name", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -234,6 +234,13 @@ def backward(loss: Tensor) -> dict[str, Tensor]:
         t.grad = np.array(g, copy=True)
         if t.name is not None:
             named[t.name] = Tensor(t.grad)
+    # A recorded tensor and its node point at each other; unlink them so the
+    # step's graph is freed by reference counting, not the cyclic collector.
+    # The loss keeps its node, whose tape still reports "consumed".
+    for node in tape.nodes:
+        if node.out is not loss:
+            node.out.node = None
+        node.inputs, node.grad_fn, node.out = (), None, None
     tape.nodes.clear()
     return named
 

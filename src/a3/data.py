@@ -166,43 +166,63 @@ DISABLED_AUGMENT = AugmentConfig(crop=False, flip=False, noise_sigma=0.0,
                                  intensity=False)
 
 
-def _crop_resize(grid: np.ndarray, frac: float, ox: float, oy: float) -> np.ndarray:
-    """Bilinear resample of a centered-at-offset crop back to full side."""
-    side = grid.shape[0]
+def _crop_resize(grids: np.ndarray, frac: np.ndarray, ox: np.ndarray,
+                 oy: np.ndarray) -> np.ndarray:
+    """Bilinear resample of each (B, side, side) grid's offset crop back to
+    full side; grid b keeps the fraction frac[b] of its side, placed at
+    offset (ox[b], oy[b]) of the slack."""
+    n, side = grids.shape[0], grids.shape[1]
     span = frac * (side - 1)
     x0 = ox * ((side - 1) - span)
     y0 = oy * ((side - 1) - span)
-    cols = x0 + np.linspace(0.0, span, side)
-    rows = y0 + np.linspace(0.0, span, side)
+    ramp = np.linspace(0.0, span, side, axis=-1)
+    cols = x0[:, None] + ramp
+    rows = y0[:, None] + ramp
     ci = np.clip(np.floor(cols).astype(np.int64), 0, side - 2)
     ri = np.clip(np.floor(rows).astype(np.int64), 0, side - 2)
-    wc = cols - ci
-    wr = rows - ri
-    top = (grid[np.ix_(ri, ci)] * (1 - wc) + grid[np.ix_(ri, ci + 1)] * wc)
-    bot = (grid[np.ix_(ri + 1, ci)] * (1 - wc) + grid[np.ix_(ri + 1, ci + 1)] * wc)
-    return top * (1 - wr[:, None]) + bot * wr[:, None]
+    wc = (cols - ci)[:, None, :]
+    wr = (rows - ri)[:, :, None]
+    b, r, c = np.arange(n)[:, None, None], ri[:, :, None], ci[:, None, :]
+    top = grids[b, r, c] * (1 - wc) + grids[b, r, c + 1] * wc
+    bot = grids[b, r + 1, c] * (1 - wc) + grids[b, r + 1, c + 1] * wc
+    return top * (1 - wr) + bot * wr
 
 
 def _augment_one_view(x: np.ndarray, rng: np.random.Generator,
                       cfg: AugmentConfig) -> np.ndarray:
-    side = math.isqrt(x.shape[1])
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        grid = x[i].reshape(side, side)
+    n, side = x.shape[0], math.isqrt(x.shape[1])
+    # Draw pass: the generator calls stay per sample and interleaved in this
+    # order; drawing each kind for the whole batch at once would change
+    # every view, and with it every training trajectory.
+    frac, ox, oy = np.empty(n), np.empty(n), np.empty(n)
+    flip = np.zeros(n, dtype=bool)
+    scale = np.empty(n)
+    noise = np.empty((n, side, side))
+    for i in range(n):
         if cfg.crop:
-            frac = rng.uniform(cfg.crop_min_frac, 1.0)
-            ox, oy = rng.uniform(0.0, 1.0, size=2)
-            grid = _crop_resize(grid, frac, ox, oy)
-        if cfg.flip and rng.random() < 0.5:
-            grid = grid[:, ::-1]
+            frac[i] = rng.uniform(cfg.crop_min_frac, 1.0)
+            ox[i], oy[i] = rng.uniform(0.0, 1.0, size=2)
+        if cfg.flip:
+            flip[i] = rng.random() < 0.5
         if cfg.intensity:
-            grid = grid * rng.uniform(0.8, 1.2)
+            scale[i] = rng.uniform(0.8, 1.2)
         if cfg.noise_sigma > 0.0:
-            grid = grid + rng.normal(0.0, cfg.noise_sigma, grid.shape)
-        if cfg.crop or cfg.flip or cfg.intensity or cfg.noise_sigma > 0.0:
-            grid = np.clip(grid, 0.0, 1.0)
-        out[i] = grid.reshape(-1)
-    return out
+            noise[i] = rng.normal(0.0, cfg.noise_sigma, (side, side))
+    # Batched pass: the same per-element arithmetic on the whole batch.
+    grids = x.reshape(n, side, side)
+    if cfg.crop:
+        grids = _crop_resize(grids, frac, ox, oy)
+    if cfg.flip:
+        grids = np.where(flip[:, None, None], grids[:, :, ::-1], grids)
+    if cfg.intensity:
+        grids = grids * scale[:, None, None]
+    if cfg.noise_sigma > 0.0:
+        grids = grids + noise
+    if cfg.crop or cfg.flip or cfg.intensity or cfg.noise_sigma > 0.0:
+        grids = np.clip(grids, 0.0, 1.0)
+    else:
+        grids = grids.copy()  # never hand back a view of the caller's batch
+    return grids.reshape(n, side * side)
 
 
 def augment_two_views(x: np.ndarray, seed: int,

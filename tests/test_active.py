@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from a3 import active as ac
+from a3 import autodiff as ad
 from a3.errors import (BudgetError, ConfigError, ContractError, FormatError,
                        ShapeError)
 from a3.models import init_encoder, init_rotation_classifier
@@ -52,6 +53,14 @@ class TestMcDropout:
         assert np.array_equal(a, b)
         c = ac.mc_dropout_probs(rot, x, t_passes=6, seed=10)
         assert not np.array_equal(a, c)
+
+    def test_records_nothing_on_the_tape(self):
+        rot = make_rotation_model()
+        x = np.random.default_rng(6).random((3, 16))
+        with ad.isolated_tape():
+            tape = ad._current_tape()
+            ac.mc_dropout_probs(rot, x, t_passes=3, seed=1)
+            assert tape.nodes == []
 
     def test_single_pass_rejected(self):
         rot = make_rotation_model()

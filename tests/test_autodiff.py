@@ -4,6 +4,9 @@ Every differentiable op kind is checked against a central finite-difference
 oracle over many random seeds and shapes.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,23 @@ class TestBackward:
         backward(loss)
         with pytest.raises(ContractError, match="consumed"):
             backward(loss)
+
+    def test_graph_freed_without_cycle_collector(self):
+        # a step's intermediates die by reference counting alone once the
+        # caller drops the loss after backward
+        gc.disable()
+        try:
+            w = Tensor(np.ones((3, 4)), requires_grad=True)
+            h = ad.relu(ad.matmul(w, Tensor(np.ones((4, 2)))))
+            ref = weakref.ref(h)
+            loss = ad.tsum(ad.mul(h, h))
+            del h
+            backward(loss)
+            np.testing.assert_array_equal(w.grad, np.full((3, 4), 16.0))
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_branch_order_independence(self):
         # disjoint-parameter branches combined in either order give

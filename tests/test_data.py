@@ -89,6 +89,63 @@ class TestGeneration:
         assert b.source_y.dtype == np.int64
 
 
+def reference_crop_resize(grid, frac, ox, oy):
+    """Per-sample bilinear crop, the loop form of dt._crop_resize."""
+    side = grid.shape[0]
+    span = frac * (side - 1)
+    x0 = ox * ((side - 1) - span)
+    y0 = oy * ((side - 1) - span)
+    cols = x0 + np.linspace(0.0, span, side)
+    rows = y0 + np.linspace(0.0, span, side)
+    ci = np.clip(np.floor(cols).astype(np.int64), 0, side - 2)
+    ri = np.clip(np.floor(rows).astype(np.int64), 0, side - 2)
+    wc = cols - ci
+    wr = rows - ri
+    top = (grid[np.ix_(ri, ci)] * (1 - wc) + grid[np.ix_(ri, ci + 1)] * wc)
+    bot = (grid[np.ix_(ri + 1, ci)] * (1 - wc) + grid[np.ix_(ri + 1, ci + 1)] * wc)
+    return top * (1 - wr[:, None]) + bot * wr[:, None]
+
+
+def reference_one_view(x, rng, cfg):
+    """Per-sample loop form of dt._augment_one_view: each sample draws and
+    applies its crop, flip, intensity and noise before the next."""
+    side = int(round(np.sqrt(x.shape[1])))
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        grid = x[i].reshape(side, side)
+        if cfg.crop:
+            frac = rng.uniform(cfg.crop_min_frac, 1.0)
+            ox, oy = rng.uniform(0.0, 1.0, size=2)
+            grid = reference_crop_resize(grid, frac, ox, oy)
+        if cfg.flip and rng.random() < 0.5:
+            grid = grid[:, ::-1]
+        if cfg.intensity:
+            grid = grid * rng.uniform(0.8, 1.2)
+        if cfg.noise_sigma > 0.0:
+            grid = grid + rng.normal(0.0, cfg.noise_sigma, grid.shape)
+        if cfg.crop or cfg.flip or cfg.intensity or cfg.noise_sigma > 0.0:
+            grid = np.clip(grid, 0.0, 1.0)
+        out[i] = grid.reshape(-1)
+    return out
+
+
+def reference_two_views(x, seed, cfg):
+    ss_a, ss_b = np.random.SeedSequence(seed).spawn(2)
+    return (reference_one_view(x, np.random.default_rng(ss_a), cfg),
+            reference_one_view(x, np.random.default_rng(ss_b), cfg))
+
+
+EQUIVALENCE_CONFIGS = [
+    dt.AugmentConfig(),
+    dt.AugmentConfig(crop=False, noise_sigma=0.0, intensity=False),  # flip only
+    dt.DISABLED_AUGMENT,
+    dt.AugmentConfig(crop=False),
+    dt.AugmentConfig(noise_sigma=0.0),
+    dt.AugmentConfig(crop_min_frac=1.0),
+    dt.AugmentConfig(intensity=False),
+]
+
+
 class TestAugmentation:
     def test_disabled_config_is_identity(self):
         rng = np.random.default_rng(0)
@@ -117,8 +174,21 @@ class TestAugmentation:
     def test_full_frame_crop_is_identity(self):
         rng = np.random.default_rng(3)
         grid = rng.random((16, 16))
-        out = dt._crop_resize(grid, frac=1.0, ox=0.37, oy=0.91)
+        out = dt._crop_resize(grid[None], frac=np.array([1.0]),
+                              ox=np.array([0.37]), oy=np.array([0.91]))[0]
         np.testing.assert_allclose(out, grid, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS,
+                             ids=lambda cfg: repr(cfg)[len("AugmentConfig"):])
+    def test_batched_views_equal_per_sample_reference(self, cfg):
+        for seed in range(4):
+            for side in (8, 16):
+                for n in (1, 2, 17, 64):
+                    x = np.random.default_rng(100 + seed).random((n, side * side))
+                    got = dt.augment_two_views(x, seed=seed, cfg=cfg)
+                    want = reference_two_views(x, seed, cfg)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (seed, side, n)
 
     def test_non_square_rejected(self):
         with pytest.raises(ContractError):
