@@ -89,12 +89,14 @@ def mc_dropout_probs(rot_model: models.RotationClassifierParams, x: np.ndarray,
     p = rot_model.trunk.embed_dim
     out = np.empty((b, t_passes, 4))
     with ad.no_grad():
+        # The mask acts after the trunk, so one trunk pass serves all T heads.
+        feats = models.encode(rot_model.trunk, x)
         for t in range(t_passes):
             if rot_model.dropout_rate == 0.0:
                 mask = np.ones((b, p))
             else:
                 mask = (rng.random((b, p)) < keep).astype(np.float64) / keep
-            out[:, t, :] = models.rotation_predict(rot_model, x, mask=mask).data
+            out[:, t, :] = models.rotation_head(rot_model, feats, mask).data
     return out
 
 
@@ -129,50 +131,75 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkp,nkp->nk", diff, diff)
 
 
-def kmeans(embeddings: np.ndarray, k: int, max_iter: int = 100, seed: int = 0,
-           weights: np.ndarray | None = None):
+def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid, equal to
+    `_sq_dists(x, centroids).argmin(axis=1)` bit for bit.
+
+    Candidates come from the GEMM form |x|^2 - 2 x.c + |c|^2. Each form of a
+    squared distance is within (p + 2) roundings of the true value, scaled
+    by (|x| + |c|)^2: the exact form rounds the p differences, the p squares
+    and p - 1 additions of terms that sum to |x - c|^2; the GEMM form rounds
+    two p-term dot products and two additions of terms bounded by
+    (|x| + |c|)^2. So the two forms differ by at most
+    2 (p + 2) u (|x| + |c|)^2 with u = eps / 2, and a GEMM winner whose lead
+    over the runner-up exceeds twice that is the exact form's unique
+    minimum. `tol` covers it with room for the rounding of the bound itself.
+    Rows within `tol` of a tie, and non-finite rows (the comparison with NaN
+    is false), take the exact form.
+    """
+    k = centroids.shape[0]
+    if k == 1:
+        return np.zeros(x.shape[0], dtype=np.int64)
+    x_sq = (x * x).sum(axis=1)
+    c_sq = (centroids * centroids).sum(axis=1)
+    approx = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq[None, :]
+    best = approx.argmin(axis=1)
+    two = np.partition(approx, 1, axis=1)
+    gap = two[:, 1] - two[:, 0]
+    tol = (4.0 * (x.shape[1] + 3) * np.finfo(np.float64).eps
+           * (math.sqrt(x_sq.max()) + math.sqrt(c_sq.max())) ** 2)
+    unsure = ~(gap > tol)
+    if unsure.any():
+        best[unsure] = _sq_dists(x[unsure], centroids).argmin(axis=1)
+    return best
+
+
+def kmeans(embeddings: np.ndarray, k: int, max_iter: int = 100, seed: int = 0):
     """Lloyd's algorithm with seeded k-means++ initialization.
 
-    Returns (centroids k x p, assignment of length N, inertia). Optional
-    nonnegative sample weights turn both the initialization distribution
-    and the centroid updates into their weighted forms. Empty clusters keep
-    their previous centroid.
+    Returns (centroids k x p, assignment of length N, inertia). Empty
+    clusters keep their previous centroid.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     if n < k:
         raise ContractError(f"kmeans needs at least k={k} points, got {n}")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,) or np.any(w < 0):
-        raise ContractError("kmeans weights must be nonnegative, one per point")
-    if w.sum() == 0.0:
-        w = np.ones(n)
     rng = np.random.default_rng(seed)
+    # An explicit uniform p draws different numbers from p=None.
+    uniform = np.full(n, 1.0 / n)
 
     centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.choice(n, p=w / w.sum())]
+    centroids[0] = x[rng.choice(n, p=uniform)]
     d2 = _sq_dists(x, centroids[:1]).min(axis=1)
     for j in range(1, k):
-        mass = d2 * w
-        total = mass.sum()
+        total = d2.sum()
         if total > 0.0:
-            centroids[j] = x[rng.choice(n, p=mass / total)]
+            centroids[j] = x[rng.choice(n, p=d2 / total)]
         else:
-            centroids[j] = x[rng.choice(n, p=w / w.sum())]
+            centroids[j] = x[rng.choice(n, p=uniform)]
         d2 = np.minimum(d2, _sq_dists(x, centroids[j:j + 1]).min(axis=1))
 
     assignment = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        new_assignment = _sq_dists(x, centroids).argmin(axis=1)
+        new_assignment = _nearest(x, centroids)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
         for j in range(k):
-            members = assignment == j
-            mass = w[members].sum()
-            if mass > 0.0:
-                centroids[j] = (x[members] * w[members, None]).sum(axis=0) / mass
-    inertia = float((_sq_dists(x, centroids).min(axis=1) * w).sum())
+            members = x[assignment == j]
+            if members.shape[0]:
+                centroids[j] = members.sum(axis=0) / members.shape[0]
+    inertia = float(_sq_dists(x, centroids).min(axis=1).sum())
     return centroids, assignment, inertia
 
 
@@ -273,13 +300,17 @@ def select_topk(batch_records: list[AcquisitionRecord], core: CoreSet,
 # Rotation pretext pool
 # ---------------------------------------------------------------------------
 
+def _square_side(d: int) -> int:
+    side = math.isqrt(d)
+    if side * side != d:
+        raise ContractError(
+            f"rotation needs square images; {d} pixels is not a perfect square")
+    return side
+
+
 def rotate_flat(x_flat: np.ndarray, quarter_turns: int) -> np.ndarray:
     """Lossless 90-degree-multiple rotation of one flattened square image."""
-    side = math.isqrt(x_flat.shape[-1])
-    if side * side != x_flat.shape[-1]:
-        raise ContractError(
-            f"rotation needs square images; {x_flat.shape[-1]} pixels is not "
-            "a perfect square")
+    side = _square_side(x_flat.shape[-1])
     grid = x_flat.reshape(side, side)
     return np.ascontiguousarray(np.rot90(grid, quarter_turns)).reshape(-1)
 
@@ -288,20 +319,20 @@ def build_rotation_pool(target_pool: np.ndarray, seed: int):
     """Each pool image once per rotation class, shuffled deterministically.
 
     Returns (x of shape (4N, d), labels of shape (4N,)) where label j means
-    j quarter turns.
+    j quarter turns. Row m is image order[m] // 4 turned order[m] % 4 times,
+    for a seeded permutation `order` of range(4N).
     """
     x = np.asarray(target_pool, dtype=np.float64)
-    n = x.shape[0]
-    xs = np.empty((4 * n, x.shape[1]))
-    ys = np.empty(4 * n, dtype=np.int64)
-    at = 0
-    for i in range(n):
-        for j in range(4):
-            xs[at] = rotate_flat(x[i], j)
-            ys[at] = j
-            at += 1
+    n, d = x.shape
+    side = _square_side(d)
     order = np.random.default_rng(seed).permutation(4 * n)
-    return xs[order], ys[order]
+    image, turns = np.divmod(order, 4)
+    grids = x.reshape(n, side, side)
+    xs = np.empty((4 * n, d))
+    for j in range(4):
+        rows = turns == j
+        xs[rows] = np.rot90(grids, j, axes=(1, 2))[image[rows]].reshape(-1, d)
+    return xs, turns.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

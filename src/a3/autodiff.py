@@ -197,9 +197,10 @@ def backward(loss: Tensor) -> dict[str, Tensor]:
     """Run reverse-mode accumulation from a scalar loss.
 
     Visits the loss tensor's tape in strict reverse append order exactly
-    once, sets ``.grad`` on every reachable tensor with ``requires_grad``,
-    and returns a map from parameter name to gradient for named tensors.
-    The tape is consumed and cannot be reused.
+    once, sets ``.grad`` on every reachable leaf (a tensor with
+    ``requires_grad`` that no recorded op produced), and returns a map from
+    parameter name to gradient for named leaves. Intermediate gradients
+    are dropped once propagated. The tape is consumed and cannot be reused.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -211,9 +212,9 @@ def backward(loss: Tensor) -> dict[str, Tensor]:
     tape.consumed = True
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    leaves: dict[int, Tensor] = {}
     for node in reversed(tape.nodes):
-        g = grads.get(id(node.out))
+        g = grads.pop(id(node.out), None)
         if g is None:
             continue
         for t, gi in zip(node.inputs, node.grad_fn(g)):
@@ -224,12 +225,11 @@ def backward(loss: Tensor) -> dict[str, Tensor]:
                 grads[tid] = grads[tid] + gi
             else:
                 grads[tid] = np.asarray(gi, dtype=np.float64)
-                holders[tid] = t
+                if t.node is None:
+                    leaves[tid] = t
 
     named: dict[str, Tensor] = {}
-    for tid, t in holders.items():
-        if not t.requires_grad:
-            continue
+    for tid, t in leaves.items():
         g = np.broadcast_to(grads[tid], t.shape).astype(np.float64, copy=False)
         t.grad = np.array(g, copy=True)
         if t.name is not None:

@@ -21,12 +21,16 @@ MAGIC_EMBEDDINGS = b"A3EMBD1"
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+    # Sizes come from the file, so check them against what is left before
+    # reading: a hostile header must not make f.read allocate gigabytes.
+    at = f.tell()
+    left = f.seek(0, 2) - at
+    f.seek(at)
+    if n > left:
         raise FormatError(
-            f"truncated file: wanted {n} bytes at byte offset "
-            f"{f.tell() - len(buf)}, got {len(buf)}")
-    return buf
+            f"truncated file: wanted {n} bytes at byte offset {at}, "
+            f"{left} left")
+    return f.read(n)
 
 
 def check_magic(f: BinaryIO, magic: bytes) -> None:
@@ -55,12 +59,22 @@ def read_tensor_map(f: BinaryIO) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-        name = _read_exact(f, name_len).decode("utf-8")
+        raw_name = _read_exact(f, name_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"tensor name at byte offset {f.tell() - name_len} is not "
+                f"UTF-8: {exc}") from exc
         (rank,) = struct.unpack("<I", _read_exact(f, 4))
         dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank)) if rank else ()
         n = 1
         for d in dims:
             n *= d
         payload = _read_exact(f, 8 * n)
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        try:
+            out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:
+            raise FormatError(
+                f"tensor {name!r} has unusable dims {dims}: {exc}") from exc
     return out

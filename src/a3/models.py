@@ -200,7 +200,12 @@ def domain_prob(dp: DomainClassifierParams, z: Tensor) -> Tensor:
 def rotation_predict(rp: RotationClassifierParams, x,
                      mask: np.ndarray | None = None) -> Tensor:
     """4-way rotation probabilities; mask=None means evaluation mode."""
-    feats = encode(rp.trunk, x)
+    return rotation_head(rp, encode(rp.trunk, x), mask)
+
+
+def rotation_head(rp: RotationClassifierParams, feats: Tensor,
+                  mask: np.ndarray | None = None) -> Tensor:
+    """Dropout and the 4-way head applied to trunk features `feats`."""
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != feats.shape:

@@ -5,9 +5,11 @@ import pytest
 
 from a3 import active as ac
 from a3 import autodiff as ad
+from a3 import models
 from a3.errors import (BudgetError, ConfigError, ContractError, FormatError,
                        ShapeError)
-from a3.models import init_encoder, init_rotation_classifier
+from a3.models import (init_encoder, init_rotation_classifier,
+                       rotation_predict)
 
 
 def entropy_oracle(rows):
@@ -26,6 +28,98 @@ def make_rotation_model(seed=0, side=4, dropout=0.25):
     rng = np.random.default_rng(seed)
     trunk = init_encoder(rng, side * side, widths=(10,), embed_dim=6)
     return init_rotation_classifier(rng, trunk, dropout_rate=dropout)
+
+
+# Reference implementations: the straightforward forms of scoring, kept
+# here so that the optimized code can be compared with them bit for bit.
+
+def kmeans_reference(embeddings, k, max_iter=100, seed=0):
+    """Lloyd's loop with the exact (N, k, p) difference-array assignment."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = x.shape[0]
+    w = np.ones(n)
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.choice(n, p=w / w.sum())]
+    d2 = ac._sq_dists(x, centroids[:1]).min(axis=1)
+    for j in range(1, k):
+        mass = d2 * w
+        total = mass.sum()
+        if total > 0.0:
+            centroids[j] = x[rng.choice(n, p=mass / total)]
+        else:
+            centroids[j] = x[rng.choice(n, p=w / w.sum())]
+        d2 = np.minimum(d2, ac._sq_dists(x, centroids[j:j + 1]).min(axis=1))
+    assignment = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        new_assignment = ac._sq_dists(x, centroids).argmin(axis=1)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for j in range(k):
+            members = assignment == j
+            mass = w[members].sum()
+            if mass > 0.0:
+                centroids[j] = (x[members] * w[members, None]).sum(axis=0) / mass
+    inertia = float((ac._sq_dists(x, centroids).min(axis=1) * w).sum())
+    return centroids, assignment, inertia
+
+
+def mc_dropout_reference(rot_model, x, t_passes, seed):
+    """T full rotation_predict passes, the trunk encoded in each."""
+    x = np.asarray(x, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    keep = 1.0 - rot_model.dropout_rate
+    b, p = x.shape[0], rot_model.trunk.embed_dim
+    out = np.empty((b, t_passes, 4))
+    with ad.no_grad():
+        for t in range(t_passes):
+            if rot_model.dropout_rate == 0.0:
+                mask = np.ones((b, p))
+            else:
+                mask = (rng.random((b, p)) < keep).astype(np.float64) / keep
+            out[:, t, :] = rotation_predict(rot_model, x, mask=mask).data
+    return out
+
+
+def rotation_pool_reference(target_pool, seed):
+    """4N rotate_flat calls in image-major order, then one shuffle."""
+    x = np.asarray(target_pool, dtype=np.float64)
+    n = x.shape[0]
+    xs = np.empty((4 * n, x.shape[1]))
+    ys = np.empty(4 * n, dtype=np.int64)
+    at = 0
+    for i in range(n):
+        for j in range(4):
+            xs[at] = ac.rotate_flat(x[i], j)
+            ys[at] = j
+            at += 1
+    order = np.random.default_rng(seed).permutation(4 * n)
+    return xs[order], ys[order]
+
+
+def grid_points(side, dims=2):
+    """Integer lattice points: many rows tie exactly between centroids."""
+    axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * dims,
+                       indexing="ij")
+    return np.stack([a.reshape(-1) for a in axes], axis=1)
+
+
+def kmeans_inputs():
+    """(name, embeddings, k) cases: random, duplicated, tied, unit-norm."""
+    rng = np.random.default_rng(30)
+    gauss = rng.normal(size=(300, 32))
+    unit = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    dup = np.repeat(rng.normal(size=(40, 5)), 3, axis=0)
+    grid = grid_points(7)
+    return [
+        ("gauss", gauss, 32), ("gauss_k1", gauss, 1),
+        ("unit", unit, 16), ("unit_large", rng.normal(size=(1200, 32))
+                             / np.sqrt(32.0), 32),
+        ("duplicated", dup, 8), ("duplicated_k_n", dup[:12], 12),
+        ("grid", grid, 4), ("grid_k9", grid, 9), ("grid_k_n", grid[:10], 10),
+        ("scaled", rng.normal(size=(200, 3)) * 1e6, 5),
+    ]
 
 
 class TestMcDropout:
@@ -66,6 +160,33 @@ class TestMcDropout:
         rot = make_rotation_model()
         with pytest.raises(ConfigError):
             ac.mc_dropout_probs(rot, np.zeros((2, 16)), t_passes=1, seed=0)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize("t_passes", [2, 6, 16])
+    def test_equals_per_pass_reference(self, t_passes, dropout):
+        for seed in range(3):
+            rot = make_rotation_model(seed=seed, dropout=dropout)
+            x = np.random.default_rng(40 + seed).random((23, 16))
+            assert np.array_equal(
+                ac.mc_dropout_probs(rot, x, t_passes, seed),
+                mc_dropout_reference(rot, x, t_passes, seed))
+
+    def test_default_shape_equals_per_pass_reference(self):
+        rng = np.random.default_rng(41)
+        rot = init_rotation_classifier(rng, init_encoder(rng, 256),
+                                       dropout_rate=0.25)
+        x = rng.random((300, 256))
+        assert np.array_equal(ac.mc_dropout_probs(rot, x, 16, seed=5),
+                              mc_dropout_reference(rot, x, 16, seed=5))
+
+    def test_trunk_encoded_once(self, monkeypatch):
+        rot = make_rotation_model()
+        calls = []
+        encode = models.encode
+        monkeypatch.setattr(models, "encode",
+                            lambda *a, **kw: calls.append(1) or encode(*a, **kw))
+        ac.mc_dropout_probs(rot, np.zeros((4, 16)), t_passes=6, seed=0)
+        assert len(calls) == 1
 
 
 class TestBald:
@@ -137,12 +258,50 @@ class TestKmeans:
         b = ac.kmeans(x, k=4, seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_weighted_centroid_pulls_toward_heavy_point(self):
-        x = np.array([[0.0], [1.0], [10.0], [11.0]])
-        w = np.array([1.0, 100.0, 1.0, 1.0])
-        centroids, assignment, _ = ac.kmeans(x, k=2, seed=3, weights=w)
-        low = centroids[assignment[0]][0]
-        assert abs(low - 1.0) < 0.1
+    @pytest.mark.parametrize("name,x,k", kmeans_inputs(),
+                             ids=[c[0] for c in kmeans_inputs()])
+    def test_equals_exact_lloyd_reference(self, name, x, k):
+        for seed in range(3):
+            got = ac.kmeans(x, k, seed=seed)
+            want = kmeans_reference(x, k, seed=seed)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize("name,x,k", kmeans_inputs(),
+                             ids=[c[0] for c in kmeans_inputs()])
+    def test_nearest_equals_exact_argmin(self, name, x, k):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            for c in (x[rng.choice(x.shape[0], k, replace=False)],
+                      rng.normal(size=(k, x.shape[1])) * x.std()):
+                assert np.array_equal(ac._nearest(x, c),
+                                      ac._sq_dists(x, c).argmin(axis=1))
+
+    def test_tied_rows_take_the_exact_form(self, monkeypatch):
+        x = grid_points(7)
+        c = x[[0, 2, 14, 16]]
+        exact = ac._sq_dists(x, c).argmin(axis=1)
+        fallback_rows = []
+        sq_dists = ac._sq_dists
+        monkeypatch.setattr(
+            ac, "_sq_dists",
+            lambda a, b: fallback_rows.append(a.shape[0]) or sq_dists(a, b))
+        assert np.array_equal(ac._nearest(x, c), exact)
+        assert len(fallback_rows) == 1 and 0 < fallback_rows[0] < x.shape[0]
+
+    def test_nan_rows_take_the_exact_form(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(20, 4))
+        x[3, 1] = np.nan
+        c = rng.normal(size=(5, 4))
+        exact = ac._sq_dists(x, c).argmin(axis=1)
+        fallback = []
+        sq_dists = ac._sq_dists
+        monkeypatch.setattr(
+            ac, "_sq_dists", lambda a, b: fallback.append(a) or sq_dists(a, b))
+        assert np.array_equal(ac._nearest(x, c), exact)
+        assert np.isnan(np.concatenate(fallback)).any()
 
     def test_diversity_distances_match_brute_force(self):
         rng = np.random.default_rng(12)
@@ -337,6 +496,16 @@ class TestRotationPool:
     def test_non_square_rejected(self):
         with pytest.raises(ContractError):
             ac.build_rotation_pool(np.zeros((2, 15)), seed=0)
+
+    def test_equals_rotate_flat_reference(self):
+        rng = np.random.default_rng(22)
+        for n, side in ((1, 4), (6, 4), (37, 16)):
+            pool = rng.random((n, side * side))
+            for seed in range(3):
+                xs, ys = ac.build_rotation_pool(pool, seed)
+                want_x, want_y = rotation_pool_reference(pool, seed)
+                assert np.array_equal(xs, want_x)
+                assert np.array_equal(ys, want_y) and ys.dtype == np.int64
 
 
 class TestCoresetIo:

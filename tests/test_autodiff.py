@@ -87,6 +87,20 @@ class TestBackward:
         backward(ad.tsum(ad.matmul(wb, Tensor(x2))))
         np.testing.assert_allclose(both, wa.grad + wb.grad, atol=1e-12)
 
+    def test_only_leaves_receive_grad(self):
+        rng = np.random.default_rng(4)
+        w_val = rng.normal(size=(3, 4))
+        x_val = rng.normal(size=(4, 2))
+        w = Tensor(w_val, requires_grad=True, name="w")
+        h = ad.relu(ad.matmul(w, Tensor(x_val)))
+        loss = ad.tsum(ad.mul(h, h))
+        grads = backward(loss)
+        assert h.grad is None and loss.grad is None
+        hv = np.maximum(w_val @ x_val, 0.0)
+        np.testing.assert_allclose(w.grad, (2.0 * hv) @ x_val.T, atol=1e-12)
+        assert list(grads) == ["w"]
+        np.testing.assert_array_equal(grads["w"].data, w.grad)
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = ad.mul(x, x)

@@ -2,11 +2,16 @@
 workflow chain gen -> pretrain -> adapt -> eval -> report."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from a3 import cli, data, models, pipeline
+from a3 import cli, container, data, models, pipeline
 
 TINY = ["--samples-per-class", "20", "--pretrain-epochs", "3",
         "--target-epochs", "2", "--rotation-epochs", "2",
@@ -56,6 +61,26 @@ class TestExitCodes:
                        "--config", str(cfg)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,dims", [
+        (b"w", (2 ** 62, 2 ** 62)),
+        (b"\xff\xfe", (1,)),
+    ], ids=["oversized_dims", "non_utf8_name"])
+    def test_hostile_checkpoint_is_format_error(self, tmp_path, name, dims):
+        path = tmp_path / "hostile.bin"
+        path.write_bytes(
+            container.MAGIC_CHECKPOINT + struct.pack("<Q", 1)
+            + struct.pack("<I", len(name)) + name
+            + struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
+            + b"\x00" * 8)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "a3.cli", "eval", "--ckpt", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_numeric_abort_saves_last_good(self, tmp_path, capsys):
         with np.errstate(all="ignore"):

@@ -1,6 +1,7 @@
 """Parameter containers, forward passes, and checkpoint serialization."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ class TestTensorContainer:
         payload = buf.getvalue()[:-9]
         with pytest.raises(FormatError, match=r"byte offset"):
             read_tensor_map(io.BytesIO(payload))
+
+    @pytest.mark.parametrize("header", [
+        struct.pack("<I", 2 ** 31),                      # rank 2^31
+        struct.pack("<I3Q", 3, 2 ** 40, 2 ** 40, 2 ** 40),  # 2^123 values
+        struct.pack("<I2Q", 2, 0, 2 ** 63),              # empty, too wide
+    ], ids=["huge_rank", "huge_dims", "zero_by_huge"])
+    def test_hostile_sizes_rejected_before_reading(self, header):
+        buf = io.BytesIO(struct.pack("<QI", 1, 1) + b"w" + header + b"\0" * 64)
+        with pytest.raises(FormatError):
+            read_tensor_map(buf)
 
     def test_wrong_magic_rejected(self):
         buf = io.BytesIO(b"BOGUS99" + b"\x00" * 16)
