@@ -101,11 +101,10 @@ def vat_perturbation(model: ModelFn, x: np.ndarray, cfg: VatConfig,
     with ad.no_grad():
         p_clean = model(Tensor(x)).data.copy()
     for _ in range(cfg.power_iters):
-        with ad.isolated_tape():
-            d_t = Tensor(d, requires_grad=True)
-            perturbed = model(ad.add(Tensor(x), ad.mul(d_t, cfg.xi)))
-            ad.backward(_kl_from_constant(p_clean, perturbed))
-            g = d_t.grad
+        d_t = Tensor(d, requires_grad=True)
+        perturbed = model(ad.add(Tensor(x), ad.mul(d_t, cfg.xi)))
+        ad.backward(_kl_from_constant(p_clean, perturbed))
+        g = d_t.grad
         bad = ~np.all(np.isfinite(g), axis=1)
         if np.any(bad):
             raise NumericError(

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode differentiation on a gradient tape.
+"""Dense float64 tensors with reverse-mode differentiation.
 
 Every loss in the package is composed from the primitives here. Design
 constraints that shape the implementation:
@@ -7,12 +7,16 @@ constraints that shape the implementation:
 * no broadcasting beyond scalar-vs-tensor (plus an explicit row-bias add),
   so shape mistakes fail loudly;
 * dropout takes a caller-supplied 0/1 mask, never an internal RNG;
-* a tape is single-use: ``backward`` consumes it.
+* each recorded tensor points at the node that made it, and each node at
+  its inputs, so a graph lives exactly as long as its output is held;
+* a graph is single-use: ``backward`` consumes every node it walks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -21,12 +25,8 @@ from .errors import ContractError, ShapeError
 
 __all__ = [
     "Tensor",
-    "GradTape",
     "backward",
     "no_grad",
-    "isolated_tape",
-    "tensor_op",
-    "OP_KINDS",
     "matmul",
     "transpose",
     "add",
@@ -55,18 +55,17 @@ NORM_EPS = 1e-12  # added to L2 norms before division
 
 
 class Tensor:
-    """A dense float64 array, optionally tracked on the active gradient tape."""
+    """A dense float64 array, optionally tracked for differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.name = name
         self.node: "Node | None" = None
 
     @property
@@ -82,12 +81,8 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # Operator sugar; scalars are auto-wrapped as constants.
     def __add__(self, other):
@@ -120,45 +115,26 @@ class Tensor:
 
 
 class Node:
-    """One recorded operation: inputs, output, and a local gradient rule."""
+    """One recorded operation: its inputs, a local gradient rule, and a
+    creation index; a later node never feeds an earlier one."""
 
-    __slots__ = ("op", "inputs", "out", "grad_fn", "tape")
+    __slots__ = ("op", "inputs", "grad_fn", "seq")
 
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], out: Tensor,
-                 grad_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
-                 tape: "GradTape"):
+    def __init__(self, op: str, inputs: tuple[Tensor, ...],
+                 grad_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]):
         self.op = op
         self.inputs = inputs
-        self.out = out
         self.grad_fn = grad_fn
-        self.tape = tape
+        self.seq = next(_SEQ)
 
 
-class GradTape:
-    """Append-only record of operations; append order is topological order."""
-
-    __slots__ = ("nodes", "consumed")
-
-    def __init__(self) -> None:
-        self.nodes: list[Node] = []
-        self.consumed = False
-
-
-_TAPE_STACK: list[GradTape] = [GradTape()]
+_SEQ = itertools.count()
 _GRAD_ENABLED = True
-
-
-def _current_tape() -> GradTape:
-    tape = _TAPE_STACK[-1]
-    if tape.consumed:
-        tape = GradTape()
-        _TAPE_STACK[-1] = tape
-    return tape
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Disable tape recording inside the block."""
+    """Disable graph recording inside the block."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -166,16 +142,6 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def isolated_tape() -> Iterator[None]:
-    """Run a nested forward/backward without touching the enclosing tape."""
-    _TAPE_STACK.append(GradTape())
-    try:
-        yield
-    finally:
-        _TAPE_STACK.pop()
 
 
 def _as_tensor(x) -> Tensor:
@@ -187,62 +153,64 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     out = Tensor(out_data)
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape = _current_tape()
-        out.node = Node(op, inputs, out, grad_fn, tape)
-        tape.nodes.append(out.node)
+        out.node = Node(op, inputs, grad_fn)
     return out
 
 
-def backward(loss: Tensor) -> dict[str, Tensor]:
+def _graph(root: Node) -> list[Node]:
+    """Every node ``root`` depends on, itself included, newest first."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.grad_fn is None:
+            raise ContractError(
+                f"graph already consumed: its {node.op!r} node was walked by "
+                f"an earlier backward")
+        for t in node.inputs:
+            if t.node is not None and t.node not in seen:
+                seen.add(t.node)
+                stack.append(t.node)
+    return sorted(seen, key=attrgetter("seq"), reverse=True)
+
+
+def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
-    Visits the loss tensor's tape in strict reverse append order exactly
-    once, sets ``.grad`` on every reachable leaf (a tensor with
-    ``requires_grad`` that no recorded op produced), and returns a map from
-    parameter name to gradient for named leaves. Intermediate gradients
-    are dropped once propagated. The tape is consumed and cannot be reused.
+    Visits every node the loss depends on exactly once, newest first, and
+    sets ``.grad`` on every reachable leaf (a tensor with ``requires_grad``
+    that no recorded op produced). Intermediate gradients are dropped once
+    propagated. Each visited node is consumed: its inputs and gradient rule
+    are released, so the graph is freed while the caller still holds the
+    loss, and a later backward that reaches it raises ContractError.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.node is None:
-        raise ContractError("loss is not on the active tape (no recorded ops)")
-    tape = loss.node.tape
-    if tape.consumed:
-        raise ContractError("gradient tape already consumed")
-    tape.consumed = True
+        raise ContractError("loss has no recorded ops to differentiate")
+    nodes = _graph(loss.node)
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    leaves: dict[int, Tensor] = {}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
-        if g is None:
-            continue
-        for t, gi in zip(node.inputs, node.grad_fn(g)):
-            if gi is None or not t.requires_grad:
-                continue
-            tid = id(t)
-            if tid in grads:
-                grads[tid] = grads[tid] + gi
-            else:
-                grads[tid] = np.asarray(gi, dtype=np.float64)
-                if t.node is None:
-                    leaves[tid] = t
+    # keyed by the producing node for intermediates, by the tensor for leaves
+    grads: dict[object, np.ndarray] = {loss.node: np.ones((), dtype=np.float64)}
+    leaves: list[Tensor] = []
+    for node in nodes:
+        g = grads.pop(node, None)
+        if g is not None:
+            for t, gi in zip(node.inputs, node.grad_fn(g)):
+                if gi is None or not t.requires_grad:
+                    continue
+                key = t if t.node is None else t.node
+                if key in grads:
+                    grads[key] = grads[key] + gi
+                else:
+                    grads[key] = np.asarray(gi, dtype=np.float64)
+                    if t.node is None:
+                        leaves.append(t)
+        node.inputs, node.grad_fn = (), None
 
-    named: dict[str, Tensor] = {}
-    for tid, t in leaves.items():
-        g = np.broadcast_to(grads[tid], t.shape).astype(np.float64, copy=False)
+    for t in leaves:
+        g = np.broadcast_to(grads[t], t.shape).astype(np.float64, copy=False)
         t.grad = np.array(g, copy=True)
-        if t.name is not None:
-            named[t.name] = Tensor(t.grad)
-    # A recorded tensor and its node point at each other; unlink them so the
-    # step's graph is freed by reference counting, not the cyclic collector.
-    # The loss keeps its node, whose tape still reports "consumed".
-    for node in tape.nodes:
-        if node.out is not loss:
-            node.out.node = None
-        node.inputs, node.grad_fn, node.out = (), None, None
-    tape.nodes.clear()
-    return named
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -536,38 +504,3 @@ def gradient_reversal(a, lam: float) -> Tensor:
         return (-lam * g,)
 
     return _record("grad_reverse", (a,), a.data, grad_fn)
-
-
-OP_KINDS: dict[str, Callable[..., Tensor]] = {
-    "matmul": matmul,
-    "transpose": transpose,
-    "add": add,
-    "add_bias": add_bias,
-    "sub": sub,
-    "neg": neg,
-    "mul": mul,
-    "div": div,
-    "relu": relu,
-    "log": log,
-    "exp": exp,
-    "sigmoid": sigmoid,
-    "softmax": softmax,
-    "l2_normalize": l2_normalize,
-    "mean": tmean,
-    "sum": tsum,
-    "concat": concat,
-    "slice": tslice,
-    "reshape": reshape,
-    "dropout": dropout,
-    "clamp": clamp,
-    "grad_reverse": gradient_reversal,
-}
-
-
-def tensor_op(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an operation by kind name (see ``OP_KINDS``)."""
-    try:
-        fn = OP_KINDS[kind]
-    except KeyError:
-        raise ContractError(f"unknown op kind {kind!r}") from None
-    return fn(*inputs, **kwargs)

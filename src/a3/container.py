@@ -59,13 +59,17 @@ def read_tensor_map(f: BinaryIO) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", _read_exact(f, 4))
+        name_at = f.tell()
         raw_name = _read_exact(f, name_len)
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
-                f"tensor name at byte offset {f.tell() - name_len} is not "
+                f"tensor name at byte offset {name_at} is not "
                 f"UTF-8: {exc}") from exc
+        if name in out:
+            raise FormatError(
+                f"duplicate tensor {name!r} at byte offset {name_at}")
         (rank,) = struct.unpack("<I", _read_exact(f, 4))
         dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank)) if rank else ()
         n = 1

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import MAGIC_DATASET, check_magic, read_tensor_map, write_tensor_map
+from .container import (MAGIC_DATASET, _read_exact, check_magic, read_tensor_map,
+                        write_tensor_map)
 from .errors import ConfigError, ContractError, FormatError
 
 
@@ -264,24 +265,14 @@ def load_bundle(path: str | Path) -> DatasetBundle:
     with open(path, "rb") as f:
         check_magic(f, MAGIC_DATASET)
         arrays = read_tensor_map(f)
-        raw_len = f.read(8)
-        if len(raw_len) != 8:
-            raise FormatError(
-                f"truncated bundle sidecar length at byte offset "
-                f"{f.tell() - len(raw_len)}")
-        (n,) = struct.unpack("<Q", raw_len)
-        payload = f.read(n)
-        if len(payload) != n:
-            raise FormatError(
-                f"truncated bundle sidecar at byte offset {f.tell() - len(payload)}")
+        (n,) = struct.unpack("<Q", _read_exact(f, 8))
+        spec_at = f.tell()
+        payload = _read_exact(f, n)
     for key in ("source_x", "source_y", "target_x", "target_y_eval"):
         if key not in arrays:
             raise FormatError(f"bundle is missing tensor {key!r}")
-    spec = None
-    if payload:
-        fields = json.loads(payload.decode("utf-8"))
-        fields["shift"] = ShiftSpec(**fields["shift"])
-        spec = DomainSpec(**fields)
+    spec = _parse_spec(payload, spec_at) if payload else None
+    _check_bundle(arrays, spec)
     return DatasetBundle(
         source_x=arrays["source_x"],
         source_y=arrays["source_y"].astype(np.int64),
@@ -289,3 +280,55 @@ def load_bundle(path: str | Path) -> DatasetBundle:
         target_y_eval=arrays["target_y_eval"].astype(np.int64),
         spec=spec,
     )
+
+
+def _parse_spec(payload: bytes, at: int) -> DomainSpec:
+    try:
+        fields = json.loads(payload.decode("utf-8"))
+        fields["shift"] = ShiftSpec(**fields["shift"])
+        spec = DomainSpec(**fields)
+    except (ValueError, KeyError, TypeError, RecursionError,
+            ConfigError) as exc:
+        raise FormatError(f"bad bundle spec at byte offset {at}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    ints = {"n_classes": spec.n_classes, "image_side": spec.image_side,
+            "samples_per_class": spec.samples_per_class, "seed": spec.seed,
+            "translation_px": spec.shift.translation_px}
+    for name, v in ints.items():
+        if type(v) is not int:
+            raise FormatError(
+                f"bad bundle spec at byte offset {at}: {name} must be an "
+                f"integer, got {v!r}")
+    return spec
+
+
+def _check_bundle(arrays: dict[str, np.ndarray], spec: DomainSpec | None) -> None:
+    """Reject tensors that disagree with each other or with the spec."""
+    n_classes = math.inf if spec is None else spec.n_classes
+    for xs, ys in (("source_x", "source_y"), ("target_x", "target_y_eval")):
+        x, y = arrays[xs], arrays[ys]
+        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+            raise FormatError(
+                f"bundle {xs} has shape {x.shape} and {ys} {y.shape}; "
+                f"need N x d rows and N labels")
+        for key, a in ((xs, x), (ys, y)):
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                raise FormatError(
+                    f"bundle {key} has a non-finite value at flat index "
+                    f"{bad[0]}")
+        bad = np.flatnonzero((y != np.floor(y)) | (y < 0) | (y >= n_classes))
+        if bad.size:
+            i = bad[0]
+            raise FormatError(
+                f"bundle {ys}[{i}] = {float(y[i])} is not a class label in "
+                f"[0, {n_classes})")
+    width = arrays["source_x"].shape[1]
+    if arrays["target_x"].shape[1] != width:
+        raise FormatError(
+            f"bundle source_x has {width} features, target_x "
+            f"{arrays['target_x'].shape[1]}")
+    if spec is not None and width != spec.image_side ** 2:
+        raise FormatError(
+            f"bundle rows have {width} features; spec image_side "
+            f"{spec.image_side} needs {spec.image_side ** 2}")

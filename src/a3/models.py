@@ -9,7 +9,6 @@ together with a config fingerprint and the pipeline stage index.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,10 +149,6 @@ def clone_encoder(enc: EncoderParams) -> EncoderParams:
                Tensor(b.data.copy(), requires_grad=True)) for w, b in enc.layers]
     return EncoderParams(layers, Tensor(enc.projection.data.copy(),
                                         requires_grad=True))
-
-
-def clone_models(mp: ModelParams) -> ModelParams:
-    return from_tensor_map(to_tensor_map(mp))
 
 
 # ---------------------------------------------------------------------------

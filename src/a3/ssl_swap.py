@@ -102,9 +102,8 @@ def swap_loss(z_a: Tensor, z_b: Tensor, protos: Prototypes, tau: float = 0.1,
     if z_a.shape != z_b.shape:
         raise ShapeError(
             f"swap_loss views disagree in shape: {z_a.shape} vs {z_b.shape}")
-    with ad.no_grad():
-        dots_a = z_a.data @ protos.vectors.data.T
-        dots_b = z_b.data @ protos.vectors.data.T
+    dots_a = z_a.data @ protos.vectors.data.T
+    dots_b = z_b.data @ protos.vectors.data.T
     q_a = sinkhorn_codes(dots_a, epsilon, iters).q
     q_b = sinkhorn_codes(dots_b, epsilon, iters).q
     return swap_loss_given_codes(z_a, z_b, protos, tau, q_a, q_b)

@@ -148,13 +148,21 @@ class TestMcDropout:
         c = ac.mc_dropout_probs(rot, x, t_passes=6, seed=10)
         assert not np.array_equal(a, c)
 
-    def test_records_nothing_on_the_tape(self):
+    def test_records_nothing_on_the_tape(self, monkeypatch):
         rot = make_rotation_model()
         x = np.random.default_rng(6).random((3, 16))
-        with ad.isolated_tape():
-            tape = ad._current_tape()
-            ac.mc_dropout_probs(rot, x, t_passes=3, seed=1)
-            assert tape.nodes == []
+        built = []
+        real_init = ad.Node.__init__
+
+        def counting_init(node, op, *rest):
+            built.append(op)
+            real_init(node, op, *rest)
+
+        monkeypatch.setattr(ad.Node, "__init__", counting_init)
+        ac.mc_dropout_probs(rot, x, t_passes=3, seed=1)
+        assert built == []
+        ad.tsum(ad.mul(rot.head_w, 2.0))  # recorded ops do reach the probe
+        assert built == ["mul", "sum"]
 
     def test_single_pass_rejected(self):
         rot = make_rotation_model()

@@ -237,7 +237,7 @@ class TestDalLoss:
     def _encoder_grads(self, grl_lambda):
         rng = np.random.default_rng(11)
         dp = init_domain_classifier(rng, 4, hidden=5)
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="enc_w")
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         x = Tensor(rng.normal(size=(6, 3)))
         z_t = ad.matmul(x, ad.transpose(w))
         z_s = Tensor(rng.normal(size=(6, 4)))

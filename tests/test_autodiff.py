@@ -1,4 +1,4 @@
-"""Tensor engine tests: forward values, tape semantics, gradient checks.
+"""Tensor engine tests: forward values, graph semantics, gradient checks.
 
 Every differentiable op kind is checked against a central finite-difference
 oracle over many random seeds and shapes.
@@ -50,10 +50,9 @@ class TestForwardValues:
 
 class TestBackward:
     def test_sum_of_squares(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True, name="x")
-        grads = backward(ad.tsum(ad.mul(x, x)))
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        assert backward(ad.tsum(ad.mul(x, x))) is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
-        np.testing.assert_array_equal(grads["x"].data, [2.0, 4.0, 6.0])
 
     def test_mean_softmax_matches_fd(self):
         rng = np.random.default_rng(7)
@@ -91,15 +90,13 @@ class TestBackward:
         rng = np.random.default_rng(4)
         w_val = rng.normal(size=(3, 4))
         x_val = rng.normal(size=(4, 2))
-        w = Tensor(w_val, requires_grad=True, name="w")
+        w = Tensor(w_val, requires_grad=True)
         h = ad.relu(ad.matmul(w, Tensor(x_val)))
         loss = ad.tsum(ad.mul(h, h))
-        grads = backward(loss)
+        backward(loss)
         assert h.grad is None and loss.grad is None
         hv = np.maximum(w_val @ x_val, 0.0)
         np.testing.assert_allclose(w.grad, (2.0 * hv) @ x_val.T, atol=1e-12)
-        assert list(grads) == ["w"]
-        np.testing.assert_array_equal(grads["w"].data, w.grad)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -308,18 +305,40 @@ class TestTapeIsolation:
             y = ad.tsum(ad.mul(x, x))
         assert y.node is None and not y.requires_grad
 
-    def test_isolated_tape_preserves_outer_graph(self):
+    def test_inner_backward_preserves_outer_graph(self):
+        # an inner forward/backward (VAT's power iteration) runs while an
+        # outer graph over the same leaf is pending
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
         outer = ad.mul(x, x)
-        with ad.isolated_tape():
-            z = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-            backward(ad.tsum(ad.mul(z, z)))
-            np.testing.assert_array_equal(z.grad, [2.0, 2.0])
+        z = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+        backward(ad.tsum(ad.mul(z, ad.add(z, x))))
+        np.testing.assert_array_equal(z.grad, [4.0, 5.0])
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
         backward(ad.tsum(outer))
         np.testing.assert_array_equal(x.grad, [4.0, 6.0])
 
-    def test_tensor_op_dispatch(self):
-        out = ad.tensor_op("add", Tensor([1.0]), Tensor([2.0]))
-        assert out.data[0] == 3.0
-        with pytest.raises(ContractError, match="unknown op kind"):
-            ad.tensor_op("conv2d", Tensor([1.0]))
+    def test_abandoned_forward_is_freed_without_backward(self):
+        # nothing outside the output holds a graph, so dropping it frees
+        # every intermediate by reference counting alone
+        gc.disable()
+        try:
+            x = Tensor(np.ones((2, 4)))
+            w = Tensor(np.ones((4, 3)), requires_grad=True)
+            h = ad.matmul(x, w)
+            ref = weakref.ref(h)
+            out = ad.relu(h)
+            del h
+            assert ref() is not None
+            del out
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_second_loss_over_consumed_graph_rejected(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = ad.mul(x, x)
+        backward(ad.tsum(h))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(ContractError, match="consumed"):
+            backward(ad.tsum(ad.mul(h, 3.0)))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, produced files, and the
 workflow chain gen -> pretrain -> adapt -> eval -> report."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -81,6 +82,30 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_bad_bundle_sidecar_is_format_error(self, workdir, tmp_path):
+        # the gen bundle, rewritten with a spec sidecar that lacks "shift"
+        good = data.load_bundle(workdir / "bundle.bin")
+        fields = dataclasses.asdict(good.spec)
+        del fields["shift"]
+        sidecar = json.dumps(fields).encode("utf-8")
+        path = tmp_path / "no_shift.bin"
+        with open(path, "wb") as f:
+            f.write(container.MAGIC_DATASET)
+            container.write_tensor_map(f, {
+                "source_x": good.source_x, "source_y": good.source_y,
+                "target_x": good.target_x,
+                "target_y_eval": good.target_y_eval})
+            f.write(struct.pack("<Q", len(sidecar)) + sidecar)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "a3.cli", "eval", "--ckpt",
+             str(workdir / "target_ckpt.bin"), "--bundle", str(path)] + TINY,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "KeyError" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_numeric_abort_saves_last_good(self, tmp_path, capsys):
         with np.errstate(all="ignore"):

@@ -1,9 +1,15 @@
 """Synthetic domain-pair generation, augmentation, and bundle files."""
 
+import dataclasses
+import io
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from a3 import data as dt
+from a3.container import MAGIC_DATASET, write_tensor_map
 from a3.errors import ConfigError, ContractError, FormatError
 
 from helpers import fit_pixel_probe, probe_accuracy
@@ -247,3 +253,107 @@ class TestBundleIo:
         path = tmp_path / "nospec.bin"
         dt.save_bundle(path, bundle)
         assert dt.load_bundle(path).spec is None
+
+
+
+SPEC2 = dt.DomainSpec(n_classes=2, samples_per_class=4, image_side=8, seed=3)
+
+
+def spec_json(**changes) -> bytes:
+    fields = dataclasses.asdict(SPEC2)
+    fields.update(changes)
+    return json.dumps(fields, sort_keys=True).encode("utf-8")
+
+
+def good_arrays() -> dict:
+    b = dt.generate_domain_pair(SPEC2)
+    return {"source_x": b.source_x, "source_y": b.source_y.astype(np.float64),
+            "target_x": b.target_x,
+            "target_y_eval": b.target_y_eval.astype(np.float64)}
+
+
+def write_raw_bundle(path, arrays=None, sidecar=None, length=None):
+    """A bundle file from raw parts: tensors, sidecar bytes, declared length."""
+    arrays = good_arrays() if arrays is None else arrays
+    sidecar = spec_json() if sidecar is None else sidecar
+    buf = io.BytesIO()
+    buf.write(MAGIC_DATASET)
+    write_tensor_map(buf, arrays)
+    buf.write(struct.pack("<Q", len(sidecar) if length is None else length))
+    buf.write(sidecar)
+    path.write_bytes(buf.getvalue())
+
+
+def put(index, value):
+    def edit(a):
+        a[index] = value
+        return a
+    return edit
+
+
+class TestBundleValidation:
+    def test_raw_writer_matches_save_bundle(self, tmp_path):
+        write_raw_bundle(tmp_path / "raw.bin")
+        dt.save_bundle(tmp_path / "saved.bin", dt.generate_domain_pair(SPEC2))
+        assert (tmp_path / "raw.bin").read_bytes() == \
+            (tmp_path / "saved.bin").read_bytes()
+        assert dt.load_bundle(tmp_path / "raw.bin").spec == SPEC2
+
+    @pytest.mark.parametrize("sidecar,length,match", [
+        (json.dumps({k: v for k, v in dataclasses.asdict(SPEC2).items()
+                     if k != "shift"}).encode(), None, "KeyError"),
+        (b"\xff\xfe{}", None, "UnicodeDecodeError"),
+        (spec_json(colour="red"), None, "colour"),
+        (b"{}", 2 ** 62, "truncated"),
+        (b"{not json", None, "JSONDecodeError"),
+        (b"[1, 2]", None, "TypeError"),
+        (spec_json(image_side=4), None, "image_side"),
+        (spec_json(n_classes=2.5), None, "n_classes must be an integer"),
+        (spec_json(shift={"noise_sigma": "x"}), None, "TypeError"),
+        (b"[" * 100000, None, "byte offset"),
+    ], ids=["missing_shift", "non_utf8", "unknown_key", "huge_length",
+            "not_json", "not_object", "bad_value", "float_count",
+            "bad_shift_type", "deep_nesting"])
+    def test_bad_sidecar_is_format_error(self, tmp_path, sidecar, length,
+                                         match):
+        path = tmp_path / "bad.bin"
+        write_raw_bundle(path, sidecar=sidecar, length=length)
+        with pytest.raises(FormatError, match=match):
+            dt.load_bundle(path)
+
+    @pytest.mark.parametrize("key,edit,match", [
+        ("source_y", lambda a: a[:2], r"source_y \(2,\)"),
+        ("target_y_eval", lambda a: a[:, None], r"target_y_eval \(8, 1\)"),
+        ("target_x", lambda a: a[:, :60], "64 features, target_x 60"),
+        ("target_x", put((3, 5), np.nan), "target_x has a non-finite"),
+        ("source_y", put(3, np.inf), "source_y has a non-finite"),
+        ("target_y_eval", put(3, 99.0), r"target_y_eval\[3\] = 99.0"),
+        ("source_y", put(3, -1.0), r"source_y\[3\] = -1.0"),
+        ("source_y", put(3, 0.5), r"source_y\[3\] = 0.5"),
+    ], ids=["label_count", "label_rank", "width_mismatch", "nan_pixel",
+            "inf_label", "label_out_of_range", "negative_label",
+            "fractional_label"])
+    def test_inconsistent_bundle_rejected(self, tmp_path, key, edit, match):
+        arrays = good_arrays()
+        arrays[key] = edit(arrays[key].copy())
+        path = tmp_path / "bad.bin"
+        write_raw_bundle(path, arrays=arrays)
+        with pytest.raises(FormatError, match=match):
+            dt.load_bundle(path)
+
+    def test_width_must_match_image_side(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        write_raw_bundle(path, sidecar=spec_json(image_side=9))
+        with pytest.raises(FormatError, match="image_side 9 needs 81"):
+            dt.load_bundle(path)
+
+    def test_spec_less_bundle_still_checks_labels(self, tmp_path):
+        path = tmp_path / "nospec.bin"
+        arrays = good_arrays()
+        arrays["source_y"][0] = -2.0
+        write_raw_bundle(path, arrays=arrays, sidecar=b"")
+        with pytest.raises(FormatError, match="source_y"):
+            dt.load_bundle(path)
+        arrays["source_y"][0] = 7.0  # no spec, so no upper bound
+        write_raw_bundle(path, arrays=arrays, sidecar=b"")
+        assert dt.load_bundle(path).source_y[0] == 7

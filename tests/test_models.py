@@ -199,6 +199,15 @@ class TestTensorContainer:
         with pytest.raises(FormatError):
             read_tensor_map(buf)
 
+    def test_duplicate_name_rejected(self):
+        # two entries "w" = [1.0] and "w" = [2.0]; the second name starts at
+        # 8 (count) + 17 (first header) + 8 (first payload) + 4 (length) = 37
+        entry = [struct.pack("<I", 1) + b"w" + struct.pack("<IQd", 1, 1, v)
+                 for v in (1.0, 2.0)]
+        buf = io.BytesIO(struct.pack("<Q", 2) + b"".join(entry))
+        with pytest.raises(FormatError, match=r"duplicate tensor 'w' at byte offset 37"):
+            read_tensor_map(buf)
+
     def test_wrong_magic_rejected(self):
         buf = io.BytesIO(b"BOGUS99" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
@@ -238,11 +247,19 @@ class TestCheckpoint:
             m.from_tensor_map(arrays)
 
     def test_clone_is_deep(self):
+        # adapt builds its source and target models from two models() calls
+        # on one checkpoint; they must not share storage
         mp = tiny_models(16)
-        dup = m.clone_models(mp)
-        dup.encoder.layers[0][0].data[:] += 1.0
-        assert not np.array_equal(dup.encoder.layers[0][0].data,
-                                  mp.encoder.layers[0][0].data)
+        ckpt = m.Checkpoint.of(mp)
+        first, second = ckpt.models(), ckpt.models()
+        first.encoder.layers[0][0].data[:] += 1.0
+        assert not np.array_equal(first.encoder.layers[0][0].data,
+                                  second.encoder.layers[0][0].data)
+        assert np.array_equal(second.encoder.layers[0][0].data,
+                              mp.encoder.layers[0][0].data)
+        mp.encoder.layers[0][0].data[:] -= 1.0
+        assert np.array_equal(ckpt.models().encoder.layers[0][0].data,
+                              second.encoder.layers[0][0].data)
 
 
 class TestFingerprint:
