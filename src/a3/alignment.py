@@ -3,11 +3,12 @@ domain adversarial alignment through gradient reversal, and their weighted
 combination.
 
 The VAT helpers treat the model as a black-box callable from an input
-Tensor to a row-stochastic probability Tensor; the clean-branch
-distribution is always detached so gradient flows only through the
-perturbed branch. The domain adversarial loss realizes its min-max game in
-a single backward pass: the discriminator sees ordinary gradients while the
-target encoder receives them sign-flipped and scaled.
+Tensor to a row-stochastic probability Tensor. The caller supplies the
+clean-branch distribution as an array, computed once per step, so it is a
+constant and gradient flows only through the perturbed branch. The domain
+adversarial loss realizes its min-max game in a single backward pass: the
+discriminator sees ordinary gradients while the target encoder receives
+them sign-flipped and scaled.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ def _kl_from_constant(p_const: np.ndarray, q: Tensor) -> Tensor:
     return ad.mul(ad.tsum(ad.mul(Tensor(pc), gap)), 1.0 / pc.shape[0])
 
 
-def vat_perturbation(model: ModelFn, x: np.ndarray, cfg: VatConfig,
-                     seed: int) -> np.ndarray:
+def vat_perturbation(model: ModelFn, x: np.ndarray, p_clean: np.ndarray,
+                     cfg: VatConfig, seed: int) -> np.ndarray:
     """Worst-case input perturbation of radius eps_radius, by power iteration.
 
     Starts from seeded unit noise; each round differentiates
-    KL(model(x) || model(x + xi * d)) with respect to d and renormalizes.
+    KL(p_clean || model(x + xi * d)) with respect to d and renormalizes.
     Rows whose gradient vanishes keep their previous direction so the
     returned rows always have norm eps_radius.
     """
@@ -98,8 +99,6 @@ def vat_perturbation(model: ModelFn, x: np.ndarray, cfg: VatConfig,
     rng = np.random.default_rng(seed)
     d = rng.normal(size=x.shape)
     d /= np.linalg.norm(d, axis=1, keepdims=True) + ad.NORM_EPS
-    with ad.no_grad():
-        p_clean = model(Tensor(x)).data.copy()
     for _ in range(cfg.power_iters):
         d_t = Tensor(d, requires_grad=True)
         perturbed = model(ad.add(Tensor(x), ad.mul(d_t, cfg.xi)))
@@ -116,13 +115,10 @@ def vat_perturbation(model: ModelFn, x: np.ndarray, cfg: VatConfig,
     return cfg.eps_radius * d
 
 
-def vat_loss(model: ModelFn, x: np.ndarray, r_vadv: np.ndarray) -> Tensor:
-    """KL between the detached clean prediction and the perturbed one."""
-    x = np.asarray(x, dtype=np.float64)
-    with ad.no_grad():
-        p_clean = model(Tensor(x)).data.copy()
-    perturbed = model(ad.add(Tensor(x), Tensor(np.asarray(r_vadv, dtype=np.float64))))
-    return _kl_from_constant(p_clean, perturbed)
+def vat_loss(model: ModelFn, x: np.ndarray, p_clean: np.ndarray,
+             r_vadv: np.ndarray) -> Tensor:
+    """KL(p_clean || model(x + r_vadv)), mean over rows."""
+    return _kl_from_constant(p_clean, model(ad.add(Tensor(x), Tensor(r_vadv))))
 
 
 def dal_loss(dp: DomainClassifierParams, z_source_model: Tensor,

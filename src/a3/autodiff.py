@@ -299,9 +299,11 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        return g @ bd.T, ad.T @ g
+        # a constant operand's gradient would only be dropped by backward
+        return (g @ bd.T if need_a else None), (ad.T @ g if need_b else None)
 
     return _record("matmul", (a, b), ad @ bd, grad_fn)
 

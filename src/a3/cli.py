@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except A3Error as exc:
+    except (A3Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

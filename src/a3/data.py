@@ -145,26 +145,11 @@ def generate_domain_pair(spec: DomainSpec) -> DatasetBundle:
 # Two-view augmentation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AugmentConfig:
-    """Which augmentations the view pipeline applies."""
-
-    crop: bool = True
-    crop_min_frac: float = 0.7
-    flip: bool = True
-    noise_sigma: float = 0.05
-    intensity: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.crop_min_frac <= 1.0:
-            raise ConfigError(
-                f"crop_min_frac must lie in (0, 1], got {self.crop_min_frac}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-
-
-DISABLED_AUGMENT = AugmentConfig(crop=False, flip=False, noise_sigma=0.0,
-                                 intensity=False)
+# Each view: crop and resize, scale intensity, add noise, clip to [0, 1]. No
+# flip: mirrored strokes would map classes onto each other.
+CROP_MIN_FRAC = 0.7
+INTENSITY_RANGE = (0.8, 1.2)
+NOISE_SIGMA = 0.05
 
 
 def _crop_resize(grids: np.ndarray, frac: np.ndarray, ox: np.ndarray,
@@ -189,55 +174,33 @@ def _crop_resize(grids: np.ndarray, frac: np.ndarray, ox: np.ndarray,
     return top * (1 - wr) + bot * wr
 
 
-def _augment_one_view(x: np.ndarray, rng: np.random.Generator,
-                      cfg: AugmentConfig) -> np.ndarray:
+def _augment_one_view(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n, side = x.shape[0], math.isqrt(x.shape[1])
     # Draw pass: the generator calls stay per sample and interleaved in this
     # order; drawing each kind for the whole batch at once would change
     # every view, and with it every training trajectory.
-    frac, ox, oy = np.empty(n), np.empty(n), np.empty(n)
-    flip = np.zeros(n, dtype=bool)
-    scale = np.empty(n)
+    frac, ox, oy, scale = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     noise = np.empty((n, side, side))
     for i in range(n):
-        if cfg.crop:
-            frac[i] = rng.uniform(cfg.crop_min_frac, 1.0)
-            ox[i], oy[i] = rng.uniform(0.0, 1.0, size=2)
-        if cfg.flip:
-            flip[i] = rng.random() < 0.5
-        if cfg.intensity:
-            scale[i] = rng.uniform(0.8, 1.2)
-        if cfg.noise_sigma > 0.0:
-            noise[i] = rng.normal(0.0, cfg.noise_sigma, (side, side))
+        frac[i] = rng.uniform(CROP_MIN_FRAC, 1.0)
+        ox[i], oy[i] = rng.uniform(0.0, 1.0, size=2)
+        scale[i] = rng.uniform(*INTENSITY_RANGE)
+        noise[i] = rng.normal(0.0, NOISE_SIGMA, (side, side))
     # Batched pass: the same per-element arithmetic on the whole batch.
-    grids = x.reshape(n, side, side)
-    if cfg.crop:
-        grids = _crop_resize(grids, frac, ox, oy)
-    if cfg.flip:
-        grids = np.where(flip[:, None, None], grids[:, :, ::-1], grids)
-    if cfg.intensity:
-        grids = grids * scale[:, None, None]
-    if cfg.noise_sigma > 0.0:
-        grids = grids + noise
-    if cfg.crop or cfg.flip or cfg.intensity or cfg.noise_sigma > 0.0:
-        grids = np.clip(grids, 0.0, 1.0)
-    else:
-        grids = grids.copy()  # never hand back a view of the caller's batch
+    grids = _crop_resize(x.reshape(n, side, side), frac, ox, oy)
+    grids = np.clip(grids * scale[:, None, None] + noise, 0.0, 1.0)
     return grids.reshape(n, side * side)
 
 
-def augment_two_views(x: np.ndarray, seed: int,
-                      cfg: AugmentConfig | None = None):
+def augment_two_views(x: np.ndarray, seed: int):
     """Two independently augmented views of a flattened square batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or math.isqrt(x.shape[1]) ** 2 != x.shape[1]:
         raise ContractError(
             f"augment_two_views expects flattened square images, got {x.shape}")
-    cfg = AugmentConfig() if cfg is None else cfg
     ss_a, ss_b = np.random.SeedSequence(seed).spawn(2)
-    view_a = _augment_one_view(x, np.random.default_rng(ss_a), cfg)
-    view_b = _augment_one_view(x, np.random.default_rng(ss_b), cfg)
-    return view_a, view_b
+    return (_augment_one_view(x, np.random.default_rng(ss_a)),
+            _augment_one_view(x, np.random.default_rng(ss_b)))
 
 
 # ---------------------------------------------------------------------------

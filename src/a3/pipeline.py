@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -34,7 +33,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .container import (MAGIC_EMBEDDINGS, check_magic, read_tensor_map,
                         write_tensor_map)
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, FormatError, NumericError
 
 # ---------------------------------------------------------------------------
 # Optimizer
@@ -167,8 +166,6 @@ class RunConfig:
     target_epochs: int = 30
     rotation_epochs: int = 5
     batch_size: int = 64
-    # flips mirror classes onto each other, so views keep orientation
-    augment_flip: bool = False
     ssl_lr: float = 0.01
     target_lr: float = 0.01
     rotation_lr: float = 0.1
@@ -182,7 +179,6 @@ class RunConfig:
     freeze_prototypes: bool = True
     # bookkeeping
     seed: int = 0
-    real_clock: bool = False
 
     def __post_init__(self) -> None:
         parse_widths(self.encoder_widths)
@@ -244,9 +240,6 @@ class RunConfig:
                                self.translation_px, self.contrast_gamma)
         return data.DomainSpec(self.n_classes, self.samples_per_class,
                                self.image_side, shift, self.data_seed)
-
-    def augment_config(self) -> data.AugmentConfig:
-        return data.AugmentConfig(flip=self.augment_flip)
 
 
 def canonical_text(config: RunConfig) -> str:
@@ -317,7 +310,10 @@ def config_from_pairs(pairs: dict[str, str],
 
 def load_config(path: str | Path,
                 overrides: dict[str, str] | None = None) -> RunConfig:
-    pairs = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        pairs = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     if overrides:
         pairs.update(overrides)
     return config_from_pairs(pairs)
@@ -331,8 +327,7 @@ def load_config(path: str | Path,
 class MetricsRecord:
     """One training epoch: loss components, core-set size, probe accuracies.
 
-    Accuracies are -1.0 when no evaluator was supplied; wall_clock_ms is 0.0
-    unless the run enables real_clock, keeping logs reproducible.
+    Accuracies are -1.0 when no evaluator was supplied.
     """
 
     stage: int
@@ -345,7 +340,6 @@ class MetricsRecord:
     coreset_size: int
     source_probe_acc: float
     target_acc: float
-    wall_clock_ms: float
 
 
 def write_metrics(path: str | Path, records: list[MetricsRecord]) -> None:
@@ -355,10 +349,20 @@ def write_metrics(path: str | Path, records: list[MetricsRecord]) -> None:
 
 
 def read_metrics(path: str | Path) -> list[MetricsRecord]:
+    """One record per nonblank line; a malformed line is a FormatError."""
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(MetricsRecord(**json.loads(line)))
+    for ln, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        at = f"metrics file {path} line {ln}"
+        try:
+            r = MetricsRecord(**json.loads(line))
+        except (ValueError, TypeError, RecursionError) as exc:
+            raise FormatError(f"{at}: {exc}") from exc
+        for name, v in vars(r).items():
+            if type(v) not in (int, float):
+                raise FormatError(f"{at}: {name} = {v!r} is not a number")
+        records.append(r)
     return records
 
 
@@ -522,17 +526,17 @@ def _encoder_param_group(mp: models.ModelParams) -> dict[str, Tensor]:
     return group
 
 
-def _prob_fn(mp: models.ModelParams, tau: float) -> alignment.ModelFn:
-    def fn(x: Tensor) -> Tensor:
-        z = models.encode(mp.encoder, x, normalize=True)
-        return ad.softmax(models.prototype_scores(z, mp.prototypes, tau),
-                          axis=1)
-    return fn
-
-
-def _attach_last_good(exc: NumericError, ckpt: models.Checkpoint) -> None:
-    if not hasattr(exc, "last_good"):
-        exc.last_good = ckpt
+def _diverged(exc: NumericError, phase: str, stage: int, epoch: int, step: int,
+              last_good: models.Checkpoint | None = None) -> NumericError:
+    """Name the loop position in ``exc.where`` and the message unless an
+    inner loop did, and attach last_good unless one is attached."""
+    if not hasattr(exc, "where"):
+        exc.where = (phase, stage, epoch, step)
+        exc.args = (f"{phase} diverged at stage {stage}, epoch {epoch}, "
+                    f"step {step}: {exc}",)
+    if last_good is not None and not hasattr(exc, "last_good"):
+        exc.last_good = last_good
+    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -559,18 +563,15 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
     min_size = max(2, config.k_prototypes)
     total = max(1, config.pretrain_epochs
                 * _steps_per_epoch(x.shape[0], config.batch_size, min_size))
-    aug = config.augment_config()
     records: list[MetricsRecord] = []
     last_good = models.Checkpoint.of(mp, fp, 0)
     step = 0
     try:
         for epoch in range(config.pretrain_epochs):
-            t0 = time.perf_counter()
             loss_sum, n_steps = 0.0, 0
             for chunk in _minibatches(x.shape[0], config.batch_size, seeder,
                                       min_size):
-                va, vb = data.augment_two_views(x[chunk], _draw_seed(seeder),
-                                                aug)
+                va, vb = data.augment_two_views(x[chunk], _draw_seed(seeder))
                 z_a = models.encode(mp.encoder, va, normalize=True)
                 z_b = models.encode(mp.encoder, vb, normalize=True)
                 loss = ssl_swap.swap_loss(z_a, z_b, mp.prototypes, config.tau,
@@ -578,8 +579,7 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
                                           config.sinkhorn_iters)
                 val = loss.item()
                 if not math.isfinite(val):
-                    raise NumericError(
-                        f"pretraining diverged at epoch {epoch}: loss {val}")
+                    raise NumericError(f"non-finite loss {val}")
                 ad.backward(loss)
                 opt.step(step / total)
                 ssl_swap.prototype_normalize(mp.prototypes)
@@ -588,15 +588,13 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
                 step += 1
             mean = loss_sum / n_steps if n_steps else 0.0
             s_acc, t_acc = evaluator(mp) if evaluator else (-1.0, -1.0)
-            ms = (time.perf_counter() - t0) * 1e3 if config.real_clock else 0.0
             records.append(MetricsRecord(
                 stage=0, epoch=epoch, swap=mean, dal=0.0, ent=0.0, vat=0.0,
                 total=mean, coreset_size=0, source_probe_acc=s_acc,
-                target_acc=t_acc, wall_clock_ms=ms))
+                target_acc=t_acc))
             last_good = models.Checkpoint.of(mp, fp, 0)
     except NumericError as exc:
-        _attach_last_good(exc, last_good)
-        raise
+        raise _diverged(exc, "pretraining", 0, epoch, step, last_good)
     return models.Checkpoint.of(mp, fp, 0), records
 
 
@@ -605,7 +603,8 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _train_rotation(config: RunConfig, rot: models.RotationClassifierParams,
-                    pool_x: np.ndarray, seeder: np.random.Generator) -> None:
+                    pool_x: np.ndarray, seeder: np.random.Generator,
+                    stage: int) -> None:
     """Cross-entropy training of the rotation model on a 4x rotation pool."""
     rx, ry = active.build_rotation_pool(pool_x, _draw_seed(seeder))
     mask_rng = np.random.default_rng(_draw_seed(seeder))
@@ -619,7 +618,7 @@ def _train_rotation(config: RunConfig, rot: models.RotationClassifierParams,
     total = max(1, config.rotation_epochs
                 * _steps_per_epoch(rx.shape[0], config.batch_size, 2))
     step = 0
-    for _ in range(config.rotation_epochs):
+    for epoch in range(config.rotation_epochs):
         for chunk in _minibatches(rx.shape[0], config.batch_size, seeder, 2):
             if rot.dropout_rate == 0.0:
                 mask = np.ones((chunk.shape[0], rot.trunk.embed_dim))
@@ -631,7 +630,8 @@ def _train_rotation(config: RunConfig, rot: models.RotationClassifierParams,
                                     Tensor(onehot[chunk])), axis=1)
             loss = ad.neg(ad.tmean(picked))
             if not math.isfinite(loss.item()):
-                raise NumericError("rotation-model training diverged")
+                raise _diverged(NumericError(f"non-finite loss {loss.item()}"),
+                                "rotation training", stage, epoch, step)
             ad.backward(loss)
             opt.step(step / total)
             step += 1
@@ -747,15 +747,20 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     records: list[MetricsRecord] = []
     last_good = models.Checkpoint.of(tgt, fp, 0)
     min_size = max(2, config.k_prototypes)
-    aug = config.augment_config()
 
+    def fn(x: Tensor) -> Tensor:  # the target model's prototype distribution
+        z = models.encode(tgt.encoder, x, normalize=True)
+        return ad.softmax(models.prototype_scores(z, tgt.prototypes,
+                                                  config.tau), axis=1)
+
+    stage = epoch = cycle_step = 0
     try:
         # Initial pretext fit on the full pool so stage-0 uncertainty scores
         # come from a model that has actually seen the target domain.
-        _train_rotation(config, tgt.rotation, x_t, seeder)
+        _train_rotation(config, tgt.rotation, x_t, seeder, stage)
 
         for cyc in range(n_stages):
-            stage = cyc + 1
+            stage, epoch, cycle_step = cyc + 1, 0, 0
             if cyc > 0 and not config.warm_start:
                 fresh = source_ckpt.models()
                 tgt.encoder = fresh.encoder
@@ -783,6 +788,8 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
 
             # target-model training on the accumulated core-set
             core_x = x_t[np.asarray(core.selected, dtype=np.int64)]
+            # the source model is frozen: embed the core-set once per cycle
+            z_src_core = _embed(src.encoder, core_x) if use_dal else None
             group = _encoder_param_group(tgt)
             if config.freeze_prototypes:
                 del group["prototypes.vectors"]
@@ -797,17 +804,14 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
             cycle_total = max(1, config.target_epochs
                               * _steps_per_epoch(core_x.shape[0],
                                                  config.batch_size, min_size))
-            cycle_step = 0
             for epoch in range(config.target_epochs):
-                t0 = time.perf_counter()
                 sums = {"swap": 0.0, "dal": 0.0, "ent": 0.0, "vat": 0.0,
                         "total": 0.0}
                 n_steps = 0
                 for chunk in _minibatches(core_x.shape[0], config.batch_size,
                                           seeder, min_size):
                     xb = core_x[chunk]
-                    va, vb = data.augment_two_views(xb, _draw_seed(seeder),
-                                                    aug)
+                    va, vb = data.augment_two_views(xb, _draw_seed(seeder))
                     vat_seed = _draw_seed(seeder)
                     z_a = models.encode(tgt.encoder, va, normalize=True)
                     z_b = models.encode(tgt.encoder, vb, normalize=True)
@@ -815,23 +819,21 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
                                               config.tau,
                                               config.sinkhorn_epsilon,
                                               config.sinkhorn_iters)
-                    zero = Tensor(0.0)
-                    fn = _prob_fn(tgt, config.tau)
-                    ent = alignment.entropy_loss(fn(Tensor(xb))) if use_ent \
-                        else zero
+                    ent = vat = dal = Tensor(0.0)
+                    # the one clean pass of the step: entropy differentiates
+                    # it, VAT holds its values fixed
+                    probs = fn(Tensor(xb))
+                    if use_ent:
+                        ent = alignment.entropy_loss(probs)
                     if use_vat:
-                        r_adv = alignment.vat_perturbation(fn, xb, vat_cfg,
-                                                           vat_seed)
-                        vat = alignment.vat_loss(fn, xb, r_adv)
-                    else:
-                        vat = zero
+                        r_adv = alignment.vat_perturbation(
+                            fn, xb, probs.data, vat_cfg, vat_seed)
+                        vat = alignment.vat_loss(fn, xb, probs.data, r_adv)
                     if use_dal:
-                        z_src = Tensor(_embed(src.encoder, xb))
                         z_tgt = models.encode(tgt.encoder, xb, normalize=True)
-                        dal = alignment.dal_loss(tgt.domain, z_src, z_tgt,
-                                                 config.grl_lambda)
-                    else:
-                        dal = zero
+                        dal = alignment.dal_loss(
+                            tgt.domain, Tensor(z_src_core[chunk]), z_tgt,
+                            config.grl_lambda)
                     loss = alignment.total_loss(swap, dal, ent, vat, weights)
                     ad.backward(loss)
                     opt.step(cycle_step / cycle_total)
@@ -847,23 +849,19 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
                 means = {k: (v / n_steps if n_steps else 0.0)
                          for k, v in sums.items()}
                 s_acc, t_acc = evaluator(tgt) if evaluator else (-1.0, -1.0)
-                ms = (time.perf_counter() - t0) * 1e3 if config.real_clock \
-                    else 0.0
                 records.append(MetricsRecord(
                     stage=stage, epoch=epoch, swap=means["swap"],
                     dal=means["dal"], ent=means["ent"], vat=means["vat"],
                     total=means["total"], coreset_size=core.budget_used,
-                    source_probe_acc=s_acc, target_acc=t_acc,
-                    wall_clock_ms=ms))
+                    source_probe_acc=s_acc, target_acc=t_acc))
 
             # rotation-model retraining on the core-set
-            _train_rotation(config, tgt.rotation, core_x, seeder)
+            _train_rotation(config, tgt.rotation, core_x, seeder, stage)
 
             if out_path is not None:
                 dump_embeddings(out_path / f"embeds_stage{stage}.bin", tgt,
                                 source_x, x_t)
             last_good = models.Checkpoint.of(tgt, fp, stage)
     except NumericError as exc:
-        _attach_last_good(exc, last_good)
-        raise
+        raise _diverged(exc, "adaptation", stage, epoch, cycle_step, last_good)
     return models.Checkpoint.of(tgt, fp, n_stages), core, records

@@ -159,7 +159,8 @@ def _vat_err(rng):
     r = 0.3 * rng.normal(size=(5, 3))
     wt = Tensor(w.copy(), requires_grad=True)
     ad.backward(al.vat_loss(
-        lambda xt: ad.softmax(ad.matmul(xt, ad.transpose(wt)), axis=1), x, r))
+        lambda xt: ad.softmax(ad.matmul(xt, ad.transpose(wt)), axis=1), x,
+        _softmax_np(x @ w.T), r))
 
     # clean-branch distribution is detached, so the oracle holds it fixed
     p0 = np.clip(_softmax_np(x @ w.T), 1e-7, 1.0)
@@ -272,10 +273,12 @@ def test_criterion_3_loss_invariants():
     def model(xt):
         return ad.softmax(ad.matmul(xt, ad.transpose(Tensor(w))), axis=1)
 
-    if al.vat_loss(model, x, np.zeros_like(x)).item() != 0.0:
+    if al.vat_loss(model, x, model(Tensor(x)).data,
+                   np.zeros_like(x)).item() != 0.0:
         failures.append("vat nonzero at r=0")
     const = Tensor(np.full((6, 4), 0.25))
-    if al.vat_loss(lambda xt: const, x, rng.normal(size=x.shape)).item() != 0.0:
+    if al.vat_loss(lambda xt: const, x, const.data,
+                   rng.normal(size=x.shape)).item() != 0.0:
         failures.append("vat nonzero for constant model")
 
     dp = models.init_domain_classifier(rng, 5, hidden=4)

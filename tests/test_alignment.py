@@ -29,6 +29,11 @@ def linear_softmax_model(w):
     return model
 
 
+def clean_probs(w, x):
+    """The clean distribution that the caller hands to the VAT helpers."""
+    return linear_softmax_model(w)(Tensor(x)).data
+
+
 class TestConfigTypes:
     def test_weight_validation(self):
         al.AlignmentWeights(0.0, 0.0, 0.0)
@@ -117,7 +122,8 @@ class TestVat:
         x = rng.normal(size=(7, 6))
         for radius in (0.5, 1.0, 2.0):
             cfg = al.VatConfig(eps_radius=radius, power_iters=2)
-            r = al.vat_perturbation(linear_softmax_model(w), x, cfg, seed=5)
+            r = al.vat_perturbation(linear_softmax_model(w), x,
+                                    clean_probs(w, x), cfg, seed=5)
             np.testing.assert_allclose(np.linalg.norm(r, axis=1), radius, atol=1e-9)
 
     def test_deterministic_given_seed(self):
@@ -125,17 +131,19 @@ class TestVat:
         w = rng.normal(size=(3, 5))
         x = rng.normal(size=(4, 5))
         cfg = al.VatConfig()
-        a = al.vat_perturbation(linear_softmax_model(w), x, cfg, seed=9)
-        b = al.vat_perturbation(linear_softmax_model(w), x, cfg, seed=9)
+        model, p = linear_softmax_model(w), clean_probs(w, x)
+        a = al.vat_perturbation(model, x, p, cfg, seed=9)
+        b = al.vat_perturbation(model, x, p, cfg, seed=9)
         assert np.array_equal(a, b)
-        c = al.vat_perturbation(linear_softmax_model(w), x, cfg, seed=10)
+        c = al.vat_perturbation(model, x, p, cfg, seed=10)
         assert not np.array_equal(a, c)
 
     def test_zero_perturbation_gives_zero_loss(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(4, 3))
         x = rng.normal(size=(6, 3))
-        loss = al.vat_loss(linear_softmax_model(w), x, np.zeros_like(x))
+        loss = al.vat_loss(linear_softmax_model(w), x, clean_probs(w, x),
+                           np.zeros_like(x))
         assert loss.item() == 0.0
 
     def test_constant_model_gives_zero_loss(self):
@@ -147,7 +155,7 @@ class TestVat:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 4))
         r = rng.normal(size=(5, 4))
-        assert al.vat_loss(model, x, r).item() == 0.0
+        assert al.vat_loss(model, x, probs, r).item() == 0.0
 
     def test_loss_matches_direct_kl_oracle(self):
         rng = np.random.default_rng(7)
@@ -155,7 +163,8 @@ class TestVat:
             w = rng.normal(size=(5, 4))
             x = rng.normal(size=(3, 4))
             r = rng.normal(size=(3, 4)) * 0.3
-            got = al.vat_loss(linear_softmax_model(w), x, r).item()
+            got = al.vat_loss(linear_softmax_model(w), x, clean_probs(w, x),
+                              r).item()
             want = kl_np(softmax_np(x @ w.T), softmax_np((x + r) @ w.T))
             assert got == pytest.approx(want, abs=1e-10)
             assert got >= 0.0
@@ -166,7 +175,8 @@ class TestVat:
         w = rng.normal(size=(3, 2))
         x = rng.normal(size=(1, 2))
         cfg = al.VatConfig(xi=1e-6, eps_radius=0.1, power_iters=4)
-        r = al.vat_perturbation(linear_softmax_model(w), x, cfg, seed=seed + 100)
+        r = al.vat_perturbation(linear_softmax_model(w), x, clean_probs(w, x),
+                                cfg, seed=seed + 100)
 
         dirs = rng.normal(size=(10000, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -185,11 +195,29 @@ class TestVat:
         w = rng.normal(size=(4, 3))
         x = rng.normal(size=(4, 3))
         model = linear_softmax_model(w)
-        r1 = al.vat_perturbation(model, x, al.VatConfig(power_iters=1), seed=seed)
-        r4 = al.vat_perturbation(model, x, al.VatConfig(power_iters=4), seed=seed)
-        kl1 = al.vat_loss(model, x, r1).item()
-        kl4 = al.vat_loss(model, x, r4).item()
+        p = clean_probs(w, x)
+        r1 = al.vat_perturbation(model, x, p, al.VatConfig(power_iters=1), seed=seed)
+        r4 = al.vat_perturbation(model, x, p, al.VatConfig(power_iters=4), seed=seed)
+        kl1 = al.vat_loss(model, x, p, r1).item()
+        kl4 = al.vat_loss(model, x, p, r4).item()
         assert kl4 >= kl1 - 1e-12
+
+    @pytest.mark.parametrize("power_iters", [1, 3])
+    def test_model_never_runs_on_the_clean_batch(self, power_iters):
+        rng = np.random.default_rng(11)
+        w = rng.normal(size=(4, 5))
+        x = rng.normal(size=(6, 5))
+        inputs = []
+
+        def model(xt):
+            inputs.append(xt.data.copy())
+            return linear_softmax_model(w)(xt)
+
+        p = clean_probs(w, x)
+        cfg = al.VatConfig(power_iters=power_iters)
+        al.vat_loss(model, x, p, al.vat_perturbation(model, x, p, cfg, seed=3))
+        assert len(inputs) == power_iters + 1
+        assert not any(np.array_equal(seen, x) for seen in inputs)
 
     def test_nonfinite_gradient_names_sample(self):
         rng = np.random.default_rng(8)
@@ -198,7 +226,8 @@ class TestVat:
         x[1] = np.inf
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError, match="sample index 1"):
-                al.vat_perturbation(linear_softmax_model(w), x, al.VatConfig(), seed=0)
+                al.vat_perturbation(linear_softmax_model(w), x,
+                                    clean_probs(w, x), al.VatConfig(), seed=0)
 
 
 def zeroed_domain_classifier(embed_dim=6, hidden=5) -> DomainClassifierParams:

@@ -98,6 +98,17 @@ class TestBackward:
         hv = np.maximum(w_val @ x_val, 0.0)
         np.testing.assert_allclose(w.grad, (2.0 * hv) @ x_val.T, atol=1e-12)
 
+    def test_matmul_skips_gradient_of_constant_operand(self):
+        w = Tensor(np.ones((4, 2)), requires_grad=True)
+        g = np.ones((3, 2))
+        g_x, g_w = ad.matmul(Tensor(np.ones((3, 4))), w).node.grad_fn(g)
+        assert g_x is None
+        np.testing.assert_array_equal(g_w, np.full((4, 2), 3.0))
+        g_v, g_c = ad.matmul(Tensor(np.ones((3, 4)), requires_grad=True),
+                             Tensor(np.ones((4, 2)))).node.grad_fn(g)
+        assert g_c is None
+        np.testing.assert_array_equal(g_v, np.full((3, 4), 2.0))
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = ad.mul(x, x)

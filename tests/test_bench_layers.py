@@ -7,6 +7,7 @@ zero, so this test makes the rename fail here instead.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -43,3 +44,26 @@ def test_traced_layer_resolves(layer, module_name, attr):
 
 def test_layer_table_is_not_empty():
     assert LAYERS
+
+
+def _positional_args():
+    for layer, module_name, attr, rows_arg, path_arg in LAYERS:
+        for kind, index in (("rows", rows_arg), ("bytes", path_arg)):
+            if index is not None:
+                yield layer, module_name, attr, kind, index
+
+
+@pytest.mark.parametrize(
+    "layer,module_name,attr,kind,index", list(_positional_args()),
+    ids=[f"{m}.{a}-{k}" for _, m, a, k, _ in _positional_args()])
+def test_counted_argument_is_positional(layer, module_name, attr, kind,
+                                        index):
+    # the tracer reads rows or bytes from args[index]; a parameter that
+    # moved would silently count the wrong argument
+    obj = importlib.import_module(module_name)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    params = list(inspect.signature(obj).parameters.values())
+    assert index < len(params), f"{layer}: {attr} has no argument {index}"
+    assert params[index].kind in (inspect.Parameter.POSITIONAL_ONLY,
+                                  inspect.Parameter.POSITIONAL_OR_KEYWORD)

@@ -107,6 +107,35 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "KeyError" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command,content", [
+        ("report", b"not json\n"),
+        ("report", b'{"stage": 1}\n'),
+        ("report", b"[1,2]\n"),
+        ("report", None),
+        ("gen", b"seed = \xff\n"),
+        ("gen", None),
+    ], ids=["metrics_not_json", "metrics_missing_fields", "metrics_not_object",
+            "metrics_directory", "config_not_utf8", "config_directory"])
+    def test_bad_input_file_is_error_line(self, tmp_path, command, content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        if command == "report":
+            argv = ["report", "--metrics", str(path)]
+        else:
+            argv = ["gen", "--out", str(tmp_path / "b.bin"), "--config",
+                    str(path)]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "a3.cli"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_numeric_abort_saves_last_good(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
             rc = cli.main(["pretrain", "--out", str(tmp_path),

@@ -3,12 +3,14 @@ probe evaluation, and the pretraining/adaptation loops on small bundles."""
 
 import dataclasses
 import inspect
+import json
+import re
 
 import numpy as np
 import pytest
 
 from a3 import data, models, pipeline
-from a3.errors import ConfigError, NumericError
+from a3.errors import ConfigError, FormatError, NumericError
 
 
 def small_config(**kw):
@@ -181,6 +183,12 @@ class TestConfigFiles:
         assert cfg.seed == 7
         assert cfg.tau == 0.2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            pipeline.load_config(path)
+
     def test_fingerprint_tracks_values(self):
         a = pipeline.RunConfig(seed=0)
         b = pipeline.RunConfig(seed=1)
@@ -189,21 +197,56 @@ class TestConfigFiles:
                 == pipeline.config_fingerprint(pipeline.RunConfig(seed=0)))
 
 
+GOOD_METRICS = {"stage": 1, "epoch": 0, "swap": 0.5, "dal": 0.1, "ent": 0.2,
+                "vat": 0.3, "total": 1.1, "coreset_size": 40,
+                "source_probe_acc": 0.9, "target_acc": -1}
+
+
+def metrics_line(**changes):
+    return json.dumps({**GOOD_METRICS, **changes}).encode()
+
+
 class TestMetrics:
+    @pytest.mark.parametrize("line,why", [
+        (b"{", "Expecting"),
+        (b"[1, 2]", "must be a mapping"),
+        (b"null", "must be a mapping"),
+        (b"\xff", "decode"),
+        (b"[" * 100000, "recursion"),
+        (b'{"stage": 1}', "missing"),
+        (metrics_line(elapsed_ms=0.0), "unexpected keyword"),
+        (metrics_line(swap="0.5"), "swap = '0.5' is not a number"),
+        (metrics_line(target_acc=None), "target_acc = None is not a number"),
+        (metrics_line(coreset_size=True), "coreset_size = True is not a"),
+    ], ids=["truncated", "list", "null", "not_utf8", "deep", "missing_field",
+            "unknown_field", "string_value", "null_value", "bool_count"])
+    def test_bad_line_is_format_error(self, tmp_path, line, why):
+        path = tmp_path / "metrics.jsonl"
+        path.write_bytes(metrics_line() + b"\n" + line + b"\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path} line 2")) \
+                as info:
+            pipeline.read_metrics(path)
+        assert why in str(info.value)
+
+    def test_good_line_parses(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        path.write_bytes(metrics_line() + b"\n\n")
+        assert pipeline.read_metrics(path) == [
+            pipeline.MetricsRecord(**GOOD_METRICS)]
+
     def test_jsonl_round_trip(self, tmp_path):
         records = [pipeline.MetricsRecord(stage=1, epoch=2, swap=0.5, dal=0.1,
                                           ent=0.2, vat=0.3, total=1.1,
                                           coreset_size=40,
                                           source_probe_acc=0.9,
-                                          target_acc=0.4, wall_clock_ms=0.0)]
+                                          target_acc=0.4)]
         path = tmp_path / "metrics.jsonl"
         pipeline.write_metrics(path, records)
         assert pipeline.read_metrics(path) == records
 
     def test_jsonl_keys_match_field_names(self, tmp_path):
         import json
-        records = [pipeline.MetricsRecord(0, 0, 1, 0, 0, 0, 1, 0, -1.0, -1.0,
-                                          0.0)]
+        records = [pipeline.MetricsRecord(0, 0, 1, 0, 0, 0, 1, 0, -1.0, -1.0)]
         path = tmp_path / "metrics.jsonl"
         pipeline.write_metrics(path, records)
         keys = set(json.loads(path.read_text().splitlines()[0]))
@@ -296,6 +339,18 @@ class TestPretrain:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as info:
                 pipeline.pretrain_source(cfg, bundle.source_x)
+        assert isinstance(info.value.last_good, models.Checkpoint)
+
+    def test_divergence_names_phase_stage_epoch_and_step(self):
+        cfg = small_config(ssl_lr=1e305)
+        bundle = make_bundle(cfg)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as info:
+                pipeline.pretrain_source(cfg, bundle.source_x)
+        phase, stage, epoch, step = info.value.where
+        assert (phase, stage) == ("pretraining", 0)
+        assert str(info.value).startswith(
+            f"pretraining diverged at stage 0, epoch {epoch}, step {step}: ")
         assert isinstance(info.value.last_good, models.Checkpoint)
 
     def test_evaluator_fills_accuracy_columns(self):
@@ -406,6 +461,59 @@ class TestAdapt:
             with pytest.raises(NumericError) as info:
                 pipeline.adapt(cfg, ckpt, bundle.target_x)
         assert isinstance(info.value.last_good, models.Checkpoint)
+        phase, stage, epoch, step = info.value.where
+        assert phase == "adaptation" and 1 <= stage < cfg.n_cycles
+        assert str(info.value).startswith(
+            f"adaptation diverged at stage {stage}, epoch {epoch}, "
+            f"step {step}: ")
+
+    def test_rotation_divergence_names_its_stage(self):
+        cfg = small_config(rotation_lr=1e150)
+        bundle = make_bundle(cfg)
+        ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as info:
+                pipeline.adapt(cfg, ckpt, bundle.target_x)
+        phase, stage, epoch, step = info.value.where
+        assert (phase, stage) == ("rotation training", 0)
+        assert str(info.value).startswith(
+            f"rotation training diverged at stage 0, epoch {epoch}, "
+            f"step {step}: non-finite loss")
+        assert info.value.last_good.stage == 0
+
+    @pytest.mark.parametrize("power_iters", [1, 2])
+    def test_one_clean_target_pass_per_step(self, monkeypatch, power_iters):
+        # per step: two views, one clean pass, the VAT power iterations, the
+        # perturbed pass and the DAL pass; the frozen source model embeds
+        # each cycle's core-set once
+        cfg = small_config(vat_power_iters=power_iters)
+        bundle = make_bundle(cfg)
+        ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
+        made, encoded = [], []
+        checkpoint_models, encode = models.Checkpoint.models, models.encode
+
+        def recording_models(self):
+            mp = checkpoint_models(self)
+            made.append(mp.encoder)  # adapt swaps encoders on cold starts
+            return mp
+
+        def counting_encode(params, batch, normalize=False):
+            encoded.append(params)
+            return encode(params, batch, normalize)
+
+        monkeypatch.setattr(models.Checkpoint, "models", recording_models)
+        monkeypatch.setattr(models, "encode", counting_encode)
+        pipeline.adapt(cfg, ckpt, bundle.target_x)
+        n_stages = cfg.n_cycles - 1
+        steps = cfg.target_epochs * sum(
+            pipeline._steps_per_epoch(stage * cfg.budget_total // n_stages,
+                                      cfg.batch_size, cfg.k_prototypes)
+            for stage in range(1, n_stages + 1))
+        source = made[0]  # adapt copies the frozen source model first
+        assert sum(p is source for p in encoded) == n_stages
+        # plus one embedding of the remaining pool per cycle for scoring
+        assert sum(any(p is t for t in made[1:]) for p in encoded) \
+            == steps * (5 + power_iters) + n_stages
 
     def test_embedding_dumps_per_stage(self, tmp_path):
         cfg = small_config()
