@@ -112,25 +112,35 @@ def reference_crop_resize(grid, frac, ox, oy):
     return top * (1 - wr[:, None]) + bot * wr[:, None]
 
 
-def reference_one_view(x, rng):
+def reference_one_view(x, rng, crop=True, crop_min_frac=0.7):
     """Per-sample loop form of dt._augment_one_view: each sample draws and
-    applies its crop, intensity and noise before the next."""
+    applies its crop, intensity and noise before the next. With crop=False
+    the crop is still drawn but not applied."""
     side = int(round(np.sqrt(x.shape[1])))
     out = np.empty_like(x)
     for i in range(x.shape[0]):
-        frac = rng.uniform(0.7, 1.0)
+        frac = rng.uniform(crop_min_frac, 1.0)
         ox, oy = rng.uniform(0.0, 1.0, size=2)
-        grid = reference_crop_resize(x[i].reshape(side, side), frac, ox, oy)
+        grid = x[i].reshape(side, side)
+        if crop:
+            grid = reference_crop_resize(grid, frac, ox, oy)
         grid = grid * rng.uniform(0.8, 1.2)
         grid = grid + rng.normal(0.0, 0.05, grid.shape)
         out[i] = np.clip(grid, 0.0, 1.0).reshape(-1)
     return out
 
 
-def reference_two_views(x, seed):
+def reference_two_views(x, seed, **stages):
     ss_a, ss_b = np.random.SeedSequence(seed).spawn(2)
-    return (reference_one_view(x, np.random.default_rng(ss_a)),
-            reference_one_view(x, np.random.default_rng(ss_b)))
+    return (reference_one_view(x, np.random.default_rng(ss_a), **stages),
+            reference_one_view(x, np.random.default_rng(ss_b), **stages))
+
+
+# (crop, crop_min_frac): the module's configuration, the crop stage swapped
+# for the identity on both sides (isolates intensity, noise and clip), and
+# full-frame crops only.
+REFERENCE_STAGES = [(True, dt.CROP_MIN_FRAC), (False, dt.CROP_MIN_FRAC),
+                    (True, 1.0)]
 
 
 class TestAugmentation:
@@ -159,13 +169,22 @@ class TestAugmentation:
                               ox=np.array([0.37]), oy=np.array([0.91]))[0]
         np.testing.assert_allclose(out, grid, atol=1e-12)
 
-    def test_batched_views_equal_per_sample_reference(self):
+    @pytest.mark.parametrize(
+        "crop, crop_min_frac", REFERENCE_STAGES,
+        ids=[f"(crop={c}, crop_min_frac={f})" for c, f in REFERENCE_STAGES])
+    def test_batched_views_equal_per_sample_reference(self, crop, crop_min_frac,
+                                                      monkeypatch):
+        monkeypatch.setattr(dt, "CROP_MIN_FRAC", crop_min_frac)
+        if not crop:
+            monkeypatch.setattr(dt, "_crop_resize",
+                                lambda grids, frac, ox, oy: grids)
         for seed in range(4):
             for side in (8, 16):
                 for n in (1, 2, 17, 64):
                     x = np.random.default_rng(100 + seed).random((n, side * side))
                     got = dt.augment_two_views(x, seed=seed)
-                    want = reference_two_views(x, seed)
+                    want = reference_two_views(x, seed, crop=crop,
+                                               crop_min_frac=crop_min_frac)
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w), (seed, side, n)
 
