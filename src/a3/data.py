@@ -100,22 +100,47 @@ def _draw_template(side: int, rng: np.random.Generator) -> np.ndarray:
     return img / img.max()
 
 
-def _jitter(template: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-sample variation: one-pixel roll, amplitude wobble, light noise."""
-    img = np.roll(template, (int(rng.integers(-1, 2)), int(rng.integers(-1, 2))),
-                  axis=(0, 1))
-    img = img * rng.uniform(0.9, 1.1)
-    img = img + rng.normal(0.0, 0.05, img.shape)
-    return np.clip(img, 0.0, 1.0)
+def _jitter(rolled: np.ndarray, y: np.ndarray, rng: np.random.Generator,
+            shift_noise: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-sample variation of the class templates y: one-pixel roll,
+    amplitude wobble, light noise. rolled[3 * (dy + 1) + dx + 1] holds the
+    templates rolled by (dy, dx).
+
+    Each sample draws its roll, amplitude and noise grid in this order, and
+    with shift_noise the target's standard normal shift noise grid after
+    them; those grids are returned, else None."""
+    n, side = y.shape[0], rolled.shape[-1]
+    rolls = np.empty((n, 2), dtype=np.int64)
+    amp = np.empty(n)
+    z = np.empty((n, side, side))
+    z_shift = np.empty((n, side, side)) if shift_noise else None
+    for i in range(n):
+        rolls[i, 0] = rng.integers(-1, 2)
+        rolls[i, 1] = rng.integers(-1, 2)
+        amp[i] = rng.uniform(0.9, 1.1)
+        rng.standard_normal(out=z[i])
+        if shift_noise:
+            rng.standard_normal(out=z_shift[i])
+    img = rolled[3 * rolls[:, 0] + rolls[:, 1] + 4, y]
+    img *= amp[:, None, None]
+    z *= 0.05
+    z += 0.0  # as in Generator.normal: loc + scale * z
+    img += z
+    return np.clip(img, 0.0, 1.0, out=img), z_shift
 
 
-def apply_shift(img: np.ndarray, shift: ShiftSpec,
-                rng: np.random.Generator) -> np.ndarray:
-    """Target-domain corruption of one [0,1] image grid."""
-    out = np.roll(img, (shift.translation_px, shift.translation_px), axis=(0, 1))
-    out = np.clip(out * shift.intensity_scale, 0.0, 1.0) ** shift.contrast_gamma
-    out = out + rng.normal(0.0, shift.noise_sigma, out.shape)
-    return np.clip(out, 0.0, 1.0)
+def _shift(img: np.ndarray, shift: ShiftSpec, z: np.ndarray) -> np.ndarray:
+    """Target-domain corruption of a (B, side, side) batch of [0, 1] grids,
+    with standard normal noise z (overwritten)."""
+    t = shift.translation_px
+    out = np.roll(img, (t, t), axis=(1, 2))
+    out *= shift.intensity_scale
+    np.clip(out, 0.0, 1.0, out=out)
+    out **= shift.contrast_gamma
+    z *= shift.noise_sigma
+    z += 0.0
+    out += z
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def generate_domain_pair(spec: DomainSpec) -> DatasetBundle:
@@ -123,20 +148,19 @@ def generate_domain_pair(spec: DomainSpec) -> DatasetBundle:
     side = spec.image_side
     root = np.random.SeedSequence(spec.seed)
     ss_templates, ss_source, ss_target = root.spawn(3)
-    templates = [_draw_template(side, np.random.default_rng(child))
-                 for child in ss_templates.spawn(spec.n_classes)]
+    templates = np.stack([_draw_template(side, np.random.default_rng(child))
+                          for child in ss_templates.spawn(spec.n_classes)])
+    rolled = np.stack([np.roll(templates, (dy, dx), axis=(1, 2))
+                       for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
 
     n = spec.n_classes * spec.samples_per_class
     y = np.repeat(np.arange(spec.n_classes, dtype=np.int64),
                   spec.samples_per_class)
-    rng_src = np.random.default_rng(ss_source)
-    rng_tgt = np.random.default_rng(ss_target)
-    source_x = np.empty((n, side * side))
-    target_x = np.empty((n, side * side))
-    for i, c in enumerate(y):
-        source_x[i] = _jitter(templates[c], rng_src).reshape(-1)
-        target_x[i] = apply_shift(_jitter(templates[c], rng_tgt), spec.shift,
-                                  rng_tgt).reshape(-1)
+    source, _ = _jitter(rolled, y, np.random.default_rng(ss_source))
+    target, z = _jitter(rolled, y, np.random.default_rng(ss_target),
+                        shift_noise=True)
+    source_x = source.reshape(n, side * side)
+    target_x = _shift(target, spec.shift, z).reshape(n, side * side)
     return DatasetBundle(source_x=source_x, source_y=y.copy(),
                          target_x=target_x, target_y_eval=y.copy(), spec=spec)
 
@@ -156,7 +180,11 @@ def _crop_resize(grids: np.ndarray, frac: np.ndarray, ox: np.ndarray,
                  oy: np.ndarray) -> np.ndarray:
     """Bilinear resample of each (B, side, side) grid's offset crop back to
     full side; grid b keeps the fraction frac[b] of its side, placed at
-    offset (ox[b], oy[b]) of the slack."""
+    offset (ox[b], oy[b]) of the slack.
+
+    Separable: every source row is first blended along its columns, then
+    the two rows around each output row are blended. Each output element
+    is still (top * (1 - wr) + bot * wr) of the two column blends."""
     n, side = grids.shape[0], grids.shape[1]
     span = frac * (side - 1)
     x0 = ox * ((side - 1) - span)
@@ -168,27 +196,47 @@ def _crop_resize(grids: np.ndarray, frac: np.ndarray, ox: np.ndarray,
     ri = np.clip(np.floor(rows).astype(np.int64), 0, side - 2)
     wc = (cols - ci)[:, None, :]
     wr = (rows - ri)[:, :, None]
-    b, r, c = np.arange(n)[:, None, None], ri[:, :, None], ci[:, None, :]
-    top = grids[b, r, c] * (1 - wc) + grids[b, r, c + 1] * wc
-    bot = grids[b, r + 1, c] * (1 - wc) + grids[b, r + 1, c + 1] * wc
-    return top * (1 - wr) + bot * wr
+    # Column pass: blend every source row at the columns ci, ci + 1.
+    at = np.arange(0, n * side * side, side).reshape(n, side, 1) + ci[:, None, :]
+    flat = grids.reshape(-1)
+    h = flat.take(at)
+    h *= 1 - wc
+    right = flat.take(at + 1)
+    right *= wc
+    h += right
+    # Row pass: blend rows ri and ri + 1 of the column-blended grids.
+    at = (np.arange(0, n * side, side)[:, None] + ri).reshape(-1)
+    h = h.reshape(n * side, side)
+    out = h.take(at, axis=0).reshape(n, side, side)
+    out *= 1 - wr
+    bot = h.take(at + 1, axis=0).reshape(n, side, side)
+    bot *= wr
+    out += bot
+    return out
 
 
 def _augment_one_view(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n, side = x.shape[0], math.isqrt(x.shape[1])
-    # Draw pass: the generator calls stay per sample and interleaved in this
-    # order; drawing each kind for the whole batch at once would change
-    # every view, and with it every training trajectory.
-    frac, ox, oy, scale = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    noise = np.empty((n, side, side))
+    # Draw pass, per sample and in this stream order: the four uniforms
+    # (crop fraction, x and y offset, intensity) and then the noise grid.
+    # Drawing each kind for the whole batch at once would change every view.
+    u = np.empty((n, 4))
+    z = np.empty((n, side, side))
     for i in range(n):
-        frac[i] = rng.uniform(CROP_MIN_FRAC, 1.0)
-        ox[i], oy[i] = rng.uniform(0.0, 1.0, size=2)
-        scale[i] = rng.uniform(*INTENSITY_RANGE)
-        noise[i] = rng.normal(0.0, NOISE_SIGMA, (side, side))
-    # Batched pass: the same per-element arithmetic on the whole batch.
-    grids = _crop_resize(x.reshape(n, side, side), frac, ox, oy)
-    grids = np.clip(grids * scale[:, None, None] + noise, 0.0, 1.0)
+        rng.random(out=u[i])
+        rng.standard_normal(out=z[i])
+    # The maps Generator.uniform and Generator.normal apply to these draws,
+    # low + range * u and loc + scale * z, for the whole batch; the offsets
+    # are uniform on [0, 1), where that map is the identity.
+    frac = CROP_MIN_FRAC + (1.0 - CROP_MIN_FRAC) * u[:, 0]
+    lo, hi = INTENSITY_RANGE
+    scale = lo + (hi - lo) * u[:, 3]
+    z *= NOISE_SIGMA
+    z += 0.0  # as in 0.0 + sigma * z: a -0.0 draw becomes 0.0
+    grids = _crop_resize(x.reshape(n, side, side), frac, u[:, 1], u[:, 2])
+    grids = grids * scale[:, None, None]
+    grids += z
+    np.clip(grids, 0.0, 1.0, out=grids)
     return grids.reshape(n, side * side)
 
 

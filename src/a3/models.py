@@ -306,6 +306,15 @@ class Checkpoint:
         return cls(to_tensor_map(mp), fingerprint, stage)
 
 
+def first_non_finite(tensors: dict[str, np.ndarray]) -> tuple[str, int] | None:
+    """Name and flat index of the first non-finite value, or None."""
+    for name, a in tensors.items():
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            return name, int(bad[0])
+    return None
+
+
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     import struct
 
@@ -326,4 +335,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise FormatError(
                 f"truncated checkpoint trailer at byte offset {f.tell() - len(trailer)}")
         fingerprint, stage = struct.unpack("<QQ", trailer)
+    bad = first_non_finite(tensors)
+    if bad is not None:
+        raise FormatError(f"checkpoint tensor {bad[0]!r} has a non-finite "
+                          f"value at flat index {bad[1]}")
     return Checkpoint(tensors, fingerprint, int(stage))

@@ -539,6 +539,18 @@ def _diverged(exc: NumericError, phase: str, stage: int, epoch: int, step: int,
     return exc
 
 
+def _finite_checkpoint(mp: models.ModelParams, fingerprint: int,
+                       stage: int) -> models.Checkpoint:
+    """The checkpoint of mp; a non-finite parameter is a NumericError, so
+    no such checkpoint is ever kept as the last good one or returned."""
+    ckpt = models.Checkpoint.of(mp, fingerprint, stage)
+    bad = models.first_non_finite(ckpt.tensors)
+    if bad is not None:
+        raise NumericError(
+            f"non-finite parameter {bad[0]} at flat index {bad[1]}")
+    return ckpt
+
+
 # ---------------------------------------------------------------------------
 # Stage 0: source pretraining
 # ---------------------------------------------------------------------------
@@ -549,8 +561,8 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
     """Swap-prediction pretraining of encoder and prototypes on source data.
 
     Returns the final checkpoint (stage 0) and one MetricsRecord per epoch.
-    On a non-finite loss the raised NumericError carries the checkpoint of
-    the last completed epoch in its ``last_good`` attribute.
+    On a non-finite loss or parameter the raised NumericError carries the
+    checkpoint of the last completed epoch in its ``last_good`` attribute.
     """
     x = np.asarray(source_x, dtype=np.float64)
     _check_input_matrix(x, config, "source_x")
@@ -586,16 +598,17 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
                 loss_sum += val
                 n_steps += 1
                 step += 1
+            ckpt = _finite_checkpoint(mp, fp, 0)
             mean = loss_sum / n_steps if n_steps else 0.0
             s_acc, t_acc = evaluator(mp) if evaluator else (-1.0, -1.0)
             records.append(MetricsRecord(
                 stage=0, epoch=epoch, swap=mean, dal=0.0, ent=0.0, vat=0.0,
                 total=mean, coreset_size=0, source_probe_acc=s_acc,
                 target_acc=t_acc))
-            last_good = models.Checkpoint.of(mp, fp, 0)
+            last_good = ckpt
     except NumericError as exc:
         raise _diverged(exc, "pretraining", 0, epoch, step, last_good)
-    return models.Checkpoint.of(mp, fp, 0), records
+    return last_good, records
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +758,7 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     static_partition: active.PoolPartition | None = None
     static_map: dict[int, active.AcquisitionRecord] = {}
     records: list[MetricsRecord] = []
-    last_good = models.Checkpoint.of(tgt, fp, 0)
+    last_good: models.Checkpoint | None = None
     min_size = max(2, config.k_prototypes)
 
     def fn(x: Tensor) -> Tensor:  # the target model's prototype distribution
@@ -755,6 +768,7 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
 
     stage = epoch = cycle_step = 0
     try:
+        last_good = _finite_checkpoint(tgt, fp, 0)
         # Initial pretext fit on the full pool so stage-0 uncertainty scores
         # come from a model that has actually seen the target domain.
         _train_rotation(config, tgt.rotation, x_t, seeder, stage)
@@ -858,10 +872,10 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
             # rotation-model retraining on the core-set
             _train_rotation(config, tgt.rotation, core_x, seeder, stage)
 
+            last_good = _finite_checkpoint(tgt, fp, stage)
             if out_path is not None:
                 dump_embeddings(out_path / f"embeds_stage{stage}.bin", tgt,
                                 source_x, x_t)
-            last_good = models.Checkpoint.of(tgt, fp, stage)
     except NumericError as exc:
         raise _diverged(exc, "adaptation", stage, epoch, cycle_step, last_good)
-    return models.Checkpoint.of(tgt, fp, n_stages), core, records
+    return last_good, core, records

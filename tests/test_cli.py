@@ -146,6 +146,66 @@ class TestExitCodes:
         assert all(np.all(np.isfinite(t)) for t in ckpt.tensors.values())
 
 
+def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "a3.cli"]
+        + argv, capture_output=True, text=True, env=env, timeout=120)
+
+
+def tensors_in(path: Path) -> dict:
+    """The tensors of a checkpoint file, read without load_checkpoint."""
+    with open(path, "rb") as f:
+        container.check_magic(f, container.MAGIC_CHECKPOINT)
+        return container.read_tensor_map(f)
+
+
+class TestNonFiniteCheckpoints:
+    # one step per epoch: the loss stays finite, the step leaves inf weights
+    DIVERGING = ["--samples-per-class", "4", "--ssl-lr", "1.7e308"]
+
+    @pytest.mark.parametrize("epochs", ["1", "3"])
+    def test_pretrain_never_saves_non_finite_last_good(self, tmp_path,
+                                                       epochs):
+        proc = run_cli(["pretrain", "--out", str(tmp_path),
+                        "--pretrain-epochs", epochs] + self.DIVERGING)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: pretraining diverged at ")
+        assert "last finite checkpoint saved" in proc.stderr
+        saved = tensors_in(tmp_path / "source_ckpt.bin")
+        assert models.first_non_finite(saved) is None
+
+    @pytest.fixture
+    def non_finite_ckpt(self, workdir, tmp_path):
+        ckpt = models.load_checkpoint(workdir / "source_ckpt.bin")
+        ckpt.tensors["encoder.layer1.bias"][5] = np.nan
+        path = tmp_path / "non_finite.bin"
+        models.save_checkpoint(path, ckpt)
+        return path
+
+    def test_eval_rejects_non_finite_checkpoint(self, workdir,
+                                                non_finite_ckpt):
+        proc = run_cli(["eval", "--ckpt", str(non_finite_ckpt),
+                        "--bundle", str(workdir / "bundle.bin")] + TINY)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: checkpoint tensor 'encoder.layer1.bias' has a non-finite "
+            "value at flat index 5\n")
+        assert proc.stdout == ""
+
+    def test_adapt_rejects_non_finite_source(self, workdir, tmp_path,
+                                             non_finite_ckpt):
+        out = tmp_path / "adapted"
+        proc = run_cli(["adapt", "--source-ckpt", str(non_finite_ckpt),
+                        "--out", str(out),
+                        "--bundle", str(workdir / "bundle.bin")] + TINY)
+        assert proc.returncode == 2
+        assert "'encoder.layer1.bias'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "target_ckpt.bin").exists()
+
+
 class TestWorkflow:
     def test_gen_writes_loadable_bundle(self, workdir):
         bundle = data.load_bundle(workdir / "bundle.bin")

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a3 import data as dt
 from a3.container import MAGIC_DATASET, write_tensor_map
@@ -38,6 +40,44 @@ class TestSpecs:
             dt.DomainSpec(n_classes=1)
         with pytest.raises(ConfigError):
             dt.DomainSpec(samples_per_class=0)
+
+
+def reference_domain_pair(spec):
+    """Per-sample loop form of dt.generate_domain_pair: each sample draws
+    and builds its source image, and its target image, before the next."""
+    side = spec.image_side
+    ss_templates, ss_source, ss_target = np.random.SeedSequence(
+        spec.seed).spawn(3)
+    templates = [dt._draw_template(side, np.random.default_rng(child))
+                 for child in ss_templates.spawn(spec.n_classes)]
+
+    def jitter(template, rng):
+        img = np.roll(template, (int(rng.integers(-1, 2)),
+                                 int(rng.integers(-1, 2))), axis=(0, 1))
+        img = img * rng.uniform(0.9, 1.1)
+        img = img + rng.normal(0.0, 0.05, img.shape)
+        return np.clip(img, 0.0, 1.0)
+
+    def shift(img, rng):
+        s = spec.shift
+        out = np.roll(img, (s.translation_px, s.translation_px), axis=(0, 1))
+        out = np.clip(out * s.intensity_scale, 0.0, 1.0) ** s.contrast_gamma
+        out = out + rng.normal(0.0, s.noise_sigma, out.shape)
+        return np.clip(out, 0.0, 1.0)
+
+    y = np.repeat(np.arange(spec.n_classes), spec.samples_per_class)
+    rng_src = np.random.default_rng(ss_source)
+    rng_tgt = np.random.default_rng(ss_target)
+    source_x = np.stack([jitter(templates[c], rng_src).reshape(-1) for c in y])
+    target_x = np.stack([shift(jitter(templates[c], rng_tgt), rng_tgt)
+                         .reshape(-1) for c in y])
+    return source_x, target_x
+
+
+# (translation_px, contrast_gamma, noise_sigma, intensity_scale)
+REFERENCE_SHIFTS = [(1, 0.8, 0.15, 0.7), (2, 1.5, 0.15, 0.7),
+                    (3, 2.0, 0.15, 0.9), (2, 1.5, 0.0, 0.7),
+                    (0, 1.0, 0.0, 1.0), (-1, 2, 0, 1), (17, 0.5, 0.3, 1.3)]
 
 
 class TestGeneration:
@@ -88,6 +128,20 @@ class TestGeneration:
             means.append(float(np.mean(accs)))
         inversions = sum(1 for lo, hi in zip(means, means[1:]) if hi > lo + 1e-9)
         assert inversions <= 1, means
+
+    @pytest.mark.parametrize("t, gamma, sigma, scale", REFERENCE_SHIFTS)
+    def test_batched_generation_equals_per_sample_reference(self, t, gamma,
+                                                             sigma, scale):
+        for seed, (classes, per_class, side) in enumerate(
+                [(2, 1, 8), (3, 5, 16), (10, 7, 20), (4, 3, 9)]):
+            spec = dt.DomainSpec(
+                n_classes=classes, samples_per_class=per_class,
+                image_side=side, seed=seed,
+                shift=dt.ShiftSpec(scale, sigma, t, gamma))
+            b = dt.generate_domain_pair(spec)
+            source_x, target_x = reference_domain_pair(spec)
+            assert b.source_x.tobytes() == source_x.tobytes()
+            assert b.target_x.tobytes() == target_x.tobytes()
 
     def test_labels_match_between_domains(self):
         b = dt.generate_domain_pair(dt.DomainSpec(n_classes=3, samples_per_class=5))
@@ -178,15 +232,43 @@ class TestAugmentation:
         if not crop:
             monkeypatch.setattr(dt, "_crop_resize",
                                 lambda grids, frac, ox, oy: grids)
+        # 15, 16 and 63 are trailing-chunk sizes
         for seed in range(4):
             for side in (8, 16):
-                for n in (1, 2, 17, 64):
+                for n in (1, 2, 15, 16, 17, 63, 64):
                     x = np.random.default_rng(100 + seed).random((n, side * side))
                     got = dt.augment_two_views(x, seed=seed)
                     want = reference_two_views(x, seed, crop=crop,
                                                crop_min_frac=crop_min_frac)
                     for g, w in zip(got, want):
-                        assert np.array_equal(g, w), (seed, side, n)
+                        assert g.tobytes() == w.tobytes(), (seed, side, n)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
+           side=st.integers(8, 20), zeros=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    def test_views_equal_per_sample_reference_property(self, seed, n, side,
+                                                       zeros):
+        x = np.random.default_rng(seed).random((n, side * side))
+        if zeros:
+            x[:, ::3] = 0.0
+        got = dt.augment_two_views(x, seed=seed)
+        for g, w in zip(got, reference_two_views(x, seed)):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("side", [8, 16, 20])
+    def test_crop_equals_per_sample_reference(self, side):
+        rng = np.random.default_rng(side)
+        edges = [(frac, ox, oy) for frac in (dt.CROP_MIN_FRAC, 1.0)
+                 for ox in (0.0, 1.0) for oy in (0.0, 1.0)]
+        drawn = [(dt.CROP_MIN_FRAC + (1 - dt.CROP_MIN_FRAC) * a, b, c)
+                 for a, b, c in rng.random((24, 3))]
+        frac, ox, oy = (np.array(v) for v in zip(*edges, *drawn))
+        grids = rng.random((frac.size, side, side))
+        got = dt._crop_resize(grids, frac, ox, oy)
+        for i in range(frac.size):
+            want = reference_crop_resize(grids[i], frac[i], ox[i], oy[i])
+            assert got[i].tobytes() == want.tobytes(), (frac[i], ox[i], oy[i])
 
     def test_non_square_rejected(self):
         with pytest.raises(ContractError):

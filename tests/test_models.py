@@ -240,6 +240,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             m.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        ckpt = m.Checkpoint.of(tiny_models(17))
+        ckpt.tensors["domain.fc.weight"].reshape(-1)[4] = value
+        path = tmp_path / "bad.ckpt"
+        m.save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError,
+                           match=r"'domain.fc.weight' has a non-finite "
+                                 r"value at flat index 4"):
+            m.load_checkpoint(path)
+
     def test_missing_tensor_rejected(self):
         arrays = m.to_tensor_map(tiny_models(15))
         del arrays["prototypes.vectors"]

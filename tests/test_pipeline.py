@@ -353,6 +353,27 @@ class TestPretrain:
             f"pretraining diverged at stage 0, epoch {epoch}, step {step}: ")
         assert isinstance(info.value.last_good, models.Checkpoint)
 
+    def test_non_finite_parameters_are_a_divergence(self):
+        # one step per epoch: the loss is finite, the step leaves inf weights
+        cfg = small_config(samples_per_class=4, pretrain_epochs=1,
+                           ssl_lr=1.7e308)
+        bundle = make_bundle(cfg)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="non-finite parameter") \
+                    as info:
+                pipeline.pretrain_source(cfg, bundle.source_x)
+        assert info.value.where == ("pretraining", 0, 0, 1)
+        assert models.first_non_finite(info.value.last_good.tensors) is None
+
+    def test_last_good_is_finite_after_later_divergence(self):
+        cfg = small_config(samples_per_class=4, pretrain_epochs=3,
+                           ssl_lr=1.7e308)
+        bundle = make_bundle(cfg)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as info:
+                pipeline.pretrain_source(cfg, bundle.source_x)
+        assert models.first_non_finite(info.value.last_good.tensors) is None
+
     def test_evaluator_fills_accuracy_columns(self):
         cfg = small_config(pretrain_epochs=2)
         bundle = make_bundle(cfg)
@@ -466,6 +487,31 @@ class TestAdapt:
         assert str(info.value).startswith(
             f"adaptation diverged at stage {stage}, epoch {epoch}, "
             f"step {step}: ")
+
+    def test_non_finite_cycle_is_never_last_good(self):
+        # a 30-sample core-set takes one step per epoch, so the first cycle
+        # ends on a finite loss with inf weights
+        cfg = small_config(target_lr=1.7e308, target_epochs=1)
+        bundle = make_bundle(cfg)
+        ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as info:
+                pipeline.adapt(cfg, ckpt, bundle.target_x)
+        assert info.value.where[0] == "adaptation"
+        assert models.first_non_finite(info.value.last_good.tensors) is None
+
+    def test_non_finite_source_checkpoint_is_a_divergence(self):
+        cfg = small_config()
+        bundle = make_bundle(cfg)
+        ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
+        ckpt.tensors["encoder.layer1.bias"][3] = np.inf
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError,
+                               match="encoder.layer1.bias at flat index 3") \
+                    as info:
+                pipeline.adapt(cfg, ckpt, bundle.target_x)
+        assert info.value.where == ("adaptation", 0, 0, 0)
+        assert not hasattr(info.value, "last_good")
 
     def test_rotation_divergence_names_its_stage(self):
         cfg = small_config(rotation_lr=1e150)
