@@ -18,8 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models
-from .errors import (BudgetError, ConfigError, ContractError, FormatError,
-                     ShapeError)
+from .errors import BudgetError, ConfigError, ContractError, ShapeError
 
 
 @dataclass
@@ -74,28 +73,19 @@ class PoolPartition:
 
 def mc_dropout_probs(rot_model: models.RotationClassifierParams, x: np.ndarray,
                      t_passes: int, seed: int) -> np.ndarray:
-    """Stack of T stochastic rotation predictions, shape (B, T, 4).
-
-    Masks use inverted-dropout scaling (kept units divided by the keep
-    probability) so the rate-zero case reduces exactly to evaluation mode.
-    """
+    """Stack of T stochastic rotation predictions, shape (B, T, 4), one
+    `models.dropout_mask` draw per pass."""
     if t_passes < 2:
         raise ConfigError(
             f"mc_dropout_probs needs at least 2 passes, got {t_passes}")
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    keep = 1.0 - rot_model.dropout_rate
-    b = x.shape[0]
-    p = rot_model.trunk.embed_dim
-    out = np.empty((b, t_passes, 4))
+    out = np.empty((x.shape[0], t_passes, 4))
     with ad.no_grad():
         # The mask acts after the trunk, so one trunk pass serves all T heads.
         feats = models.encode(rot_model.trunk, x)
         for t in range(t_passes):
-            if rot_model.dropout_rate == 0.0:
-                mask = np.ones((b, p))
-            else:
-                mask = (rng.random((b, p)) < keep).astype(np.float64) / keep
+            mask = models.dropout_mask(rng, feats.shape, rot_model.dropout_rate)
             out[:, t, :] = models.rotation_head(rot_model, feats, mask).data
     return out
 
@@ -308,13 +298,6 @@ def _square_side(d: int) -> int:
     return side
 
 
-def rotate_flat(x_flat: np.ndarray, quarter_turns: int) -> np.ndarray:
-    """Lossless 90-degree-multiple rotation of one flattened square image."""
-    side = _square_side(x_flat.shape[-1])
-    grid = x_flat.reshape(side, side)
-    return np.ascontiguousarray(np.rot90(grid, quarter_turns)).reshape(-1)
-
-
 def build_rotation_pool(target_pool: np.ndarray, seed: int):
     """Each pool image once per rotation class, shuffled deterministically.
 
@@ -344,19 +327,3 @@ def save_coreset(path: str | Path, core: CoreSet) -> None:
     lines += [str(i) for i in core.selected]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def load_coreset(path: str | Path) -> CoreSet:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# a3-coreset v1 "):
-        raise FormatError(f"{path}: missing a3-coreset v1 header")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[2:]
-                  if "=" in part)
-    try:
-        stage = int(fields["stage"])
-        budget = int(fields["budget"])
-        selected = [int(ln) for ln in lines[1:]]
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed core-set file: {exc}") from exc
-    return CoreSet(selected=selected, budget_total=budget,
-                   budget_used=len(selected), stage=stage)

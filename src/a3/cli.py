@@ -17,6 +17,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import active, data, models, pipeline
 from .errors import A3Error, ConfigError, NumericError
 
@@ -264,7 +266,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # A diverging run overflows before the finite checks turn it into
+        # a NumericError; the error line alone reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

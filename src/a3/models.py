@@ -202,14 +202,22 @@ def rotation_head(rp: RotationClassifierParams, feats: Tensor,
                   mask: np.ndarray | None = None) -> Tensor:
     """Dropout and the 4-way head applied to trunk features `feats`."""
     if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != feats.shape:
-            raise ShapeError(
-                f"rotation dropout mask shape {mask.shape} does not match "
-                f"activation shape {feats.shape}")
         feats = ad.dropout(feats, mask)
     logits = ad.add_bias(ad.matmul(feats, ad.transpose(rp.head_w)), rp.head_b)
     return ad.softmax(logits, axis=1)
+
+
+def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...],
+                 rate: float) -> np.ndarray:
+    """Inverted-dropout mask: kept units scaled by 1 / keep probability.
+
+    Rate zero draws nothing from rng and returns ones, so the masked
+    forward pass equals evaluation mode exactly.
+    """
+    if rate == 0.0:
+        return np.ones(shape)
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep) / keep
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +245,15 @@ def named_tensors(mp: ModelParams) -> dict[str, Tensor]:
     out["rotation.head.weight"] = mp.rotation.head_w
     out["rotation.head.bias"] = mp.rotation.head_b
     return out
+
+
+def param_group(mp: ModelParams, *prefixes: str) -> dict[str, Tensor]:
+    """The named tensors whose names start with one of the prefixes.
+
+    Optimizer groups are built from it, so tensor names are spelled only in
+    this module."""
+    return {name: t for name, t in named_tensors(mp).items()
+            if name.startswith(prefixes)}
 
 
 def to_tensor_map(mp: ModelParams) -> dict[str, np.ndarray]:

@@ -31,8 +31,7 @@ import numpy as np
 from . import active, alignment, data, models, ssl_swap
 from . import autodiff as ad
 from .autodiff import Tensor
-from .container import (MAGIC_EMBEDDINGS, check_magic, read_tensor_map,
-                        write_tensor_map)
+from .container import MAGIC_EMBEDDINGS, write_tensor_map
 from .errors import ConfigError, ContractError, FormatError, NumericError
 
 # ---------------------------------------------------------------------------
@@ -520,12 +519,6 @@ def _check_compat(mp: models.ModelParams, config: RunConfig,
             f"{config.widths}")
 
 
-def _encoder_param_group(mp: models.ModelParams) -> dict[str, Tensor]:
-    group = models.encoder_tensor_map("encoder", mp.encoder)
-    group["prototypes.vectors"] = mp.prototypes.vectors
-    return group
-
-
 def _diverged(exc: NumericError, phase: str, stage: int, epoch: int, step: int,
               last_good: models.Checkpoint | None = None) -> NumericError:
     """Name the loop position in ``exc.where`` and the message unless an
@@ -571,7 +564,8 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
     mp = _init_models(config, np.random.default_rng(_draw_seed(seeder)),
                       x.shape[1])
     opt = Sgd(OptimSpec(config.ssl_lr, config.momentum, config.weight_decay,
-                        "cosine"), _encoder_param_group(mp))
+                        "cosine"), models.param_group(mp, "encoder.",
+                                                       "prototypes."))
     min_size = max(2, config.k_prototypes)
     total = max(1, config.pretrain_epochs
                 * _steps_per_epoch(x.shape[0], config.batch_size, min_size))
@@ -615,29 +609,25 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
 # Rotation-model training
 # ---------------------------------------------------------------------------
 
-def _train_rotation(config: RunConfig, rot: models.RotationClassifierParams,
+def _train_rotation(config: RunConfig, mp: models.ModelParams,
                     pool_x: np.ndarray, seeder: np.random.Generator,
                     stage: int) -> None:
     """Cross-entropy training of the rotation model on a 4x rotation pool."""
+    rot = mp.rotation
     rx, ry = active.build_rotation_pool(pool_x, _draw_seed(seeder))
     mask_rng = np.random.default_rng(_draw_seed(seeder))
-    params = models.encoder_tensor_map("rotation.trunk", rot.trunk)
-    params["rotation.head.weight"] = rot.head_w
-    params["rotation.head.bias"] = rot.head_b
     opt = Sgd(OptimSpec(config.rotation_lr, config.momentum,
-                        config.weight_decay, "multistep"), params)
+                        config.weight_decay, "multistep"),
+              models.param_group(mp, "rotation."))
     onehot = np.eye(4)[ry]
-    keep = 1.0 - rot.dropout_rate
     total = max(1, config.rotation_epochs
                 * _steps_per_epoch(rx.shape[0], config.batch_size, 2))
     step = 0
     for epoch in range(config.rotation_epochs):
         for chunk in _minibatches(rx.shape[0], config.batch_size, seeder, 2):
-            if rot.dropout_rate == 0.0:
-                mask = np.ones((chunk.shape[0], rot.trunk.embed_dim))
-            else:
-                mask = (mask_rng.random((chunk.shape[0], rot.trunk.embed_dim))
-                        < keep).astype(np.float64) / keep
+            mask = models.dropout_mask(
+                mask_rng, (chunk.shape[0], rot.trunk.embed_dim),
+                rot.dropout_rate)
             probs = models.rotation_predict(rot, rx[chunk], mask=mask)
             picked = ad.tsum(ad.mul(ad.log(ad.clamp(probs, 1e-7, 1.0)),
                                     Tensor(onehot[chunk])), axis=1)
@@ -694,12 +684,6 @@ def dump_embeddings(path: str | Path, mp: models.ModelParams,
                              "domain_tags": tags})
 
 
-def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        check_magic(f, MAGIC_EMBEDDINGS)
-        return read_tensor_map(f)
-
-
 # ---------------------------------------------------------------------------
 # Active adaptation
 # ---------------------------------------------------------------------------
@@ -747,6 +731,8 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     use_dal = config.loss_variant in ("consolidated", "dal_vat")
     use_vat = use_dal
     use_ent = config.loss_variant in ("consolidated", "entropy")
+    trained = ("encoder.", "domain.") if config.freeze_prototypes \
+        else ("encoder.", "prototypes.", "domain.")
 
     out_path: Path | None = None
     if out_dir is not None:
@@ -771,7 +757,7 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
         last_good = _finite_checkpoint(tgt, fp, 0)
         # Initial pretext fit on the full pool so stage-0 uncertainty scores
         # come from a model that has actually seen the target domain.
-        _train_rotation(config, tgt.rotation, x_t, seeder, stage)
+        _train_rotation(config, tgt, x_t, seeder, stage)
 
         for cyc in range(n_stages):
             stage, epoch, cycle_step = cyc + 1, 0, 0
@@ -804,15 +790,9 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
             core_x = x_t[np.asarray(core.selected, dtype=np.int64)]
             # the source model is frozen: embed the core-set once per cycle
             z_src_core = _embed(src.encoder, core_x) if use_dal else None
-            group = _encoder_param_group(tgt)
-            if config.freeze_prototypes:
-                del group["prototypes.vectors"]
-            group["domain.fc.weight"] = tgt.domain.w1
-            group["domain.fc.bias"] = tgt.domain.b1
-            group["domain.logit.weight"] = tgt.domain.w2
-            group["domain.logit.bias"] = tgt.domain.b2
             opt = Sgd(OptimSpec(config.target_lr, config.momentum,
-                                config.weight_decay, "cosine"), group)
+                                config.weight_decay, "cosine"),
+                      models.param_group(tgt, *trained))
             # The schedule restarts each cycle so the growing core-set always
             # gets a full annealing sweep; the last (largest) cycle dominates.
             cycle_total = max(1, config.target_epochs
@@ -870,7 +850,7 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
                     source_probe_acc=s_acc, target_acc=t_acc))
 
             # rotation-model retraining on the core-set
-            _train_rotation(config, tgt.rotation, core_x, seeder, stage)
+            _train_rotation(config, tgt, core_x, seeder, stage)
 
             last_good = _finite_checkpoint(tgt, fp, stage)
             if out_path is not None:

@@ -146,12 +146,13 @@ class TestExitCodes:
         assert all(np.all(np.isfinite(t)) for t in ckpt.tensors.values())
 
 
-def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
+def run_cli(argv: list[str], warnings: str = "ignore::RuntimeWarning"
+            ) -> subprocess.CompletedProcess:
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "a3.cli"]
-        + argv, capture_output=True, text=True, env=env, timeout=120)
+        [sys.executable, "-W", warnings, "-m", "a3.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 def tensors_in(path: Path) -> dict:
@@ -206,6 +207,33 @@ class TestNonFiniteCheckpoints:
         assert not (out / "target_ckpt.bin").exists()
 
 
+class TestDivergenceStderr:
+    """A numeric abort prints the error line and the saved-checkpoint line,
+    and no NumPy warning, with Python's default warning filters."""
+
+    def assert_two_lines(self, proc, phase, saved):
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2 and proc.stderr.endswith("\n"), proc.stderr
+        assert lines[0].startswith(f"error: {phase} diverged at stage ")
+        assert lines[1] == f"last finite checkpoint saved to {saved}"
+
+    def test_pretrain(self, tmp_path):
+        proc = run_cli(["pretrain", "--out", str(tmp_path),
+                        "--samples-per-class", "4", "--pretrain-epochs", "3",
+                        "--ssl-lr", "1.7e308"], warnings="default")
+        self.assert_two_lines(proc, "pretraining",
+                              tmp_path / "source_ckpt.bin")
+
+    def test_adapt(self, workdir, tmp_path):
+        proc = run_cli(["adapt", "--source-ckpt",
+                        str(workdir / "source_ckpt.bin"), "--out",
+                        str(tmp_path), "--bundle", str(workdir / "bundle.bin"),
+                        "--target-lr", "1.7e308"] + TINY, warnings="default")
+        self.assert_two_lines(proc, "adaptation",
+                              tmp_path / "target_ckpt.bin")
+
+
 class TestWorkflow:
     def test_gen_writes_loadable_bundle(self, workdir):
         bundle = data.load_bundle(workdir / "bundle.bin")
@@ -220,11 +248,13 @@ class TestWorkflow:
         assert all(r.stage == 0 for r in records)
 
     def test_adapt_outputs(self, workdir):
-        from a3 import active
         ckpt = models.load_checkpoint(workdir / "target_ckpt.bin")
         assert ckpt.stage == 3
-        core = active.load_coreset(workdir / "coreset.txt")
-        assert core.budget_used == 90
+        header, *indices = (workdir / "coreset.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert header == "# a3-coreset v1 stage=3 budget=90"
+        assert len(indices) == 90
+        assert len({int(i) for i in indices}) == 90
         records = pipeline.read_metrics(workdir / "metrics_adapt.jsonl")
         assert sorted({r.stage for r in records}) == [1, 2, 3]
         for stage in (1, 2, 3):

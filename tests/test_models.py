@@ -165,6 +165,52 @@ class TestRotationPredict:
                                        mp.rotation.head_b, dropout_rate=1.0)
 
 
+class TestDropoutMask:
+    def test_zero_rate_is_ones_without_a_draw(self):
+        rng = np.random.default_rng(31)
+        before = rng.bit_generator.state
+        mask = m.dropout_mask(rng, (5, 6), 0.0)
+        assert rng.bit_generator.state == before
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, np.ones((5, 6)))
+
+    @pytest.mark.parametrize("rate", [0.25, 0.5, 0.9])
+    def test_equals_inline_inverted_dropout(self, rate):
+        keep = 1.0 - rate
+        want = (np.random.default_rng(32).random((7, 6)) < keep) \
+            .astype(np.float64) / keep
+        got = m.dropout_mask(np.random.default_rng(32), (7, 6), rate)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+class TestParamGroup:
+    ENCODER = ["encoder.layer0.weight", "encoder.layer0.bias",
+               "encoder.layer1.weight", "encoder.layer1.bias",
+               "encoder.projection"]
+    DOMAIN = ["domain.fc.weight", "domain.fc.bias", "domain.logit.weight",
+              "domain.logit.bias"]
+
+    @pytest.mark.parametrize("prefixes,names", [
+        (("encoder.", "prototypes."), ENCODER + ["prototypes.vectors"]),
+        (("encoder.", "domain."), ENCODER + DOMAIN),
+        (("encoder.", "prototypes.", "domain."),
+         ENCODER + ["prototypes.vectors"] + DOMAIN),
+        (("rotation.",), ["rotation.trunk.layer0.weight",
+                          "rotation.trunk.layer0.bias",
+                          "rotation.trunk.layer1.weight",
+                          "rotation.trunk.layer1.bias",
+                          "rotation.trunk.projection",
+                          "rotation.head.weight", "rotation.head.bias"]),
+    ], ids=["pretrain", "adapt_frozen", "adapt_unfrozen", "rotation"])
+    def test_names_and_tensors(self, prefixes, names):
+        mp = tiny_models(18)
+        group = m.param_group(mp, *prefixes)
+        assert list(group) == names
+        everything = m.named_tensors(mp)
+        assert all(group[name] is everything[name] for name in names)
+
+
 class TestTensorContainer:
     def test_round_trip_preserves_bits(self):
         rng = np.random.default_rng(21)

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from a3 import data, models, pipeline
+from a3 import container, data, models, pipeline
 from a3.errors import ConfigError, FormatError, NumericError
 
 
@@ -568,8 +568,9 @@ class TestAdapt:
         pipeline.adapt(cfg, ckpt, bundle.target_x,
                        source_x=bundle.source_x, out_dir=tmp_path)
         for stage in range(1, cfg.n_cycles):
-            dump = pipeline.load_embeddings(tmp_path
-                                            / f"embeds_stage{stage}.bin")
+            with open(tmp_path / f"embeds_stage{stage}.bin", "rb") as f:
+                container.check_magic(f, container.MAGIC_EMBEDDINGS)
+                dump = container.read_tensor_map(f)
             n_src = bundle.source_x.shape[0]
             n_tgt = bundle.target_x.shape[0]
             assert dump["source_embeddings"].shape == (n_src, cfg.embed_dim)
