@@ -13,53 +13,18 @@ them sign-flipped and scaled.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ContractError, NumericError
 from .models import DomainClassifierParams, domain_prob
 
 PROB_FLOOR = 1e-7
 
 ModelFn = Callable[[Tensor], Tensor]
-
-
-@dataclass
-class AlignmentWeights:
-    """Loss weights: lambda1 on DAL, lambda2 shared by entropy and VAT."""
-
-    lambda1: float = 1.0
-    lambda2: float = 0.1
-    grl_lambda: float = 1.0
-
-    def __post_init__(self) -> None:
-        for field in ("lambda1", "lambda2", "grl_lambda"):
-            v = getattr(self, field)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{field} must be finite and >= 0, got {v}")
-
-
-@dataclass
-class VatConfig:
-    """Power-iteration settings for the adversarial perturbation."""
-
-    xi: float = 1e-6
-    eps_radius: float = 1.0
-    power_iters: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.xi > 0:
-            raise ConfigError(f"xi must be positive, got {self.xi}")
-        if not self.eps_radius > 0:
-            raise ConfigError(f"eps_radius must be positive, got {self.eps_radius}")
-        if self.power_iters < 1:
-            raise ConfigError(
-                f"power_iters must be a positive int, got {self.power_iters}")
 
 
 def entropy_loss(probs: Tensor) -> Tensor:
@@ -87,7 +52,8 @@ def _kl_from_constant(p_const: np.ndarray, q: Tensor) -> Tensor:
 
 
 def vat_perturbation(model: ModelFn, x: np.ndarray, p_clean: np.ndarray,
-                     cfg: VatConfig, seed: int) -> np.ndarray:
+                     xi: float, eps_radius: float, power_iters: int,
+                     seed: int) -> np.ndarray:
     """Worst-case input perturbation of radius eps_radius, by power iteration.
 
     Starts from seeded unit noise; each round differentiates
@@ -99,9 +65,9 @@ def vat_perturbation(model: ModelFn, x: np.ndarray, p_clean: np.ndarray,
     rng = np.random.default_rng(seed)
     d = rng.normal(size=x.shape)
     d /= np.linalg.norm(d, axis=1, keepdims=True) + ad.NORM_EPS
-    for _ in range(cfg.power_iters):
+    for _ in range(power_iters):
         d_t = Tensor(d, requires_grad=True)
-        perturbed = model(ad.add(Tensor(x), ad.mul(d_t, cfg.xi)))
+        perturbed = model(ad.add(Tensor(x), ad.mul(d_t, xi)))
         ad.backward(_kl_from_constant(p_clean, perturbed))
         g = d_t.grad
         bad = ~np.all(np.isfinite(g), axis=1)
@@ -112,7 +78,7 @@ def vat_perturbation(model: ModelFn, x: np.ndarray, p_clean: np.ndarray,
         live = norms[:, 0] > 0.0
         unit = np.divide(g, norms, out=np.zeros_like(g), where=norms > 0.0)
         d = np.where(live[:, None], unit, d)
-    return cfg.eps_radius * d
+    return eps_radius * d
 
 
 def vat_loss(model: ModelFn, x: np.ndarray, p_clean: np.ndarray,
@@ -142,12 +108,12 @@ def dal_loss(dp: DomainClassifierParams, z_source_model: Tensor,
 
 
 def total_loss(swap: Tensor, dal: Tensor, ent: Tensor, vat: Tensor,
-               w: AlignmentWeights) -> Tensor:
+               lambda1: float, lambda2: float) -> Tensor:
     """Weighted sum: swap + lambda1 * dal + lambda2 * (ent + vat)."""
     for name, t in (("swap", swap), ("dal", dal), ("ent", ent), ("vat", vat)):
         if t.shape != ():
             raise ContractError(f"total_loss component {name} must be scalar")
         if not np.isfinite(t.data):
             raise NumericError(f"total_loss component {name} is non-finite")
-    return ad.add(swap, ad.add(ad.mul(dal, w.lambda1),
-                               ad.mul(ad.add(ent, vat), w.lambda2)))
+    return ad.add(swap, ad.add(ad.mul(dal, lambda1),
+                               ad.mul(ad.add(ent, vat), lambda2)))

@@ -55,10 +55,6 @@ class Prototypes:
 
     vectors: Tensor
 
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[0]
-
 
 @dataclass
 class DomainClassifierParams:
@@ -77,7 +73,7 @@ class RotationClassifierParams:
     trunk: EncoderParams
     head_w: Tensor
     head_b: Tensor
-    dropout_rate: float = 0.25
+    dropout_rate: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -132,7 +128,7 @@ def init_domain_classifier(rng: np.random.Generator, embed_dim: int,
 
 
 def init_rotation_classifier(rng: np.random.Generator, trunk: EncoderParams,
-                             dropout_rate: float = 0.25) -> RotationClassifierParams:
+                             dropout_rate: float) -> RotationClassifierParams:
     """Head is fresh; the trunk is a deep copy of the given encoder."""
     p = trunk.embed_dim
     return RotationClassifierParams(
@@ -262,39 +258,59 @@ def to_tensor_map(mp: ModelParams) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _read_encoder(prefix: str, arrays: dict[str, np.ndarray]) -> EncoderParams:
+def _read(arrays: dict[str, np.ndarray], name: str,
+          *shape: int | str) -> Tensor:
+    """The named tensor as a fresh trainable copy, so rebuilt models never
+    alias the checkpoint arrays. An int in shape is a required extent; a
+    str names an extent that may take any value."""
+    if name not in arrays:
+        raise FormatError(f"checkpoint is missing tensor {name!r}")
+    a = arrays[name]
+    if a.ndim != len(shape) or any(isinstance(want, int) and got != want
+                                   for got, want in zip(a.shape, shape)):
+        expected = "(" + ", ".join(map(str, shape)) \
+            + ("," if len(shape) == 1 else "") + ")"
+        raise FormatError(f"checkpoint tensor {name!r} has shape {a.shape}, "
+                          f"expected {expected}")
+    return Tensor(a.copy(), requires_grad=True)
+
+
+def _read_encoder(prefix: str, arrays: dict[str, np.ndarray],
+                  in_dim: int | str) -> EncoderParams:
+    n_layers = 1
+    while f"{prefix}.layer{n_layers}.weight" in arrays:
+        n_layers += 1
     layers = []
-    i = 0
-    while f"{prefix}.layer{i}.weight" in arrays:
-        layers.append((Tensor(arrays[f"{prefix}.layer{i}.weight"].copy(),
-                              requires_grad=True),
-                       Tensor(arrays[f"{prefix}.layer{i}.bias"].copy(),
-                              requires_grad=True)))
-        i += 1
-    if not layers or f"{prefix}.projection" not in arrays:
-        raise FormatError(f"checkpoint is missing tensors for {prefix!r}")
-    # Copies above keep rebuilt models from aliasing the checkpoint arrays.
-    return EncoderParams(layers, Tensor(arrays[f"{prefix}.projection"].copy(),
-                                        requires_grad=True))
+    d_in = in_dim
+    for i in range(n_layers):
+        w = _read(arrays, f"{prefix}.layer{i}.weight", "width", d_in)
+        b = _read(arrays, f"{prefix}.layer{i}.bias", w.shape[0])
+        layers.append((w, b))
+        d_in = w.shape[0]
+    return EncoderParams(layers, _read(arrays, f"{prefix}.projection",
+                                       "embed_dim", d_in))
 
 
 def from_tensor_map(arrays: dict[str, np.ndarray]) -> ModelParams:
-    def grab(name: str) -> Tensor:
-        if name not in arrays:
-            raise FormatError(f"checkpoint is missing tensor {name!r}")
-        return Tensor(arrays[name].copy(), requires_grad=True)
-
+    """Rebuild the models; a missing tensor, or one whose shape disagrees
+    with the encoder it belongs with, is a FormatError naming it."""
+    enc = _read_encoder("encoder", arrays, "in_dim")
+    p = enc.embed_dim
+    w1 = _read(arrays, "domain.fc.weight", "hidden", p)
+    hidden = w1.shape[0]
+    trunk = _read_encoder("rotation.trunk", arrays, enc.in_dim)
     return ModelParams(
-        encoder=_read_encoder("encoder", arrays),
-        prototypes=Prototypes(grab("prototypes.vectors")),
+        encoder=enc,
+        prototypes=Prototypes(_read(arrays, "prototypes.vectors", "k", p)),
         domain=DomainClassifierParams(
-            w1=grab("domain.fc.weight"), b1=grab("domain.fc.bias"),
-            w2=grab("domain.logit.weight"), b2=grab("domain.logit.bias")),
+            w1=w1, b1=_read(arrays, "domain.fc.bias", hidden),
+            w2=_read(arrays, "domain.logit.weight", 1, hidden),
+            b2=_read(arrays, "domain.logit.bias", 1)),
         rotation=RotationClassifierParams(
-            trunk=_read_encoder("rotation.trunk", arrays),
-            head_w=grab("rotation.head.weight"),
-            head_b=grab("rotation.head.bias"),
-            dropout_rate=float(arrays.get("rotation.dropout_rate", 0.25))),
+            trunk=trunk,
+            head_w=_read(arrays, "rotation.head.weight", 4, trunk.embed_dim),
+            head_b=_read(arrays, "rotation.head.bias", 4),
+            dropout_rate=_read(arrays, "rotation.dropout_rate").item()),
     )
 
 

@@ -38,65 +38,44 @@ from .errors import ConfigError, ContractError, FormatError, NumericError
 # Optimizer
 # ---------------------------------------------------------------------------
 
-SCHEDULES = ("cosine", "multistep")
-
-
-@dataclass(frozen=True)
-class OptimSpec:
-    """SGD-with-momentum settings for one training phase.
-
-    The schedule is evaluated on fractional progress through the phase:
-    cosine decays smoothly to zero, multistep multiplies by gamma at each
-    milestone fraction.
-    """
-
-    lr: float
-    momentum: float = 0.9
-    weight_decay: float = 1e-6
-    schedule: str = "cosine"
-    milestones: tuple[float, ...] = (0.5, 0.75)
-    gamma: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}; expected "
-                              f"one of {', '.join(SCHEDULES)}")
-
-    def lr_at(self, progress: float) -> float:
-        p = min(max(progress, 0.0), 1.0)
-        if self.schedule == "cosine":
-            return self.lr * 0.5 * (1.0 + math.cos(math.pi * p))
-        drops = sum(1 for m in self.milestones if p >= m)
-        return self.lr * self.gamma ** drops
+MULTISTEP_MILESTONES = (0.5, 0.75)
+MULTISTEP_GAMMA = 0.1
 
 
 class Sgd:
     """SGD with momentum and L2 weight decay over a named parameter dict.
 
-    ``step`` consumes the gradients assigned by the last backward pass and
-    clears them afterwards so stale gradients can never be applied twice.
+    The learning rate follows a schedule over fractional progress through
+    the phase: "cosine" decays smoothly to zero, "multistep" multiplies by
+    MULTISTEP_GAMMA at each of MULTISTEP_MILESTONES. ``step`` consumes the
+    gradients assigned by the last backward pass and clears them afterwards
+    so stale gradients can never be applied twice.
     """
 
-    def __init__(self, spec: OptimSpec, params: dict[str, Tensor]):
-        self.spec = spec
+    def __init__(self, params: dict[str, Tensor], lr: float, schedule: str,
+                 momentum: float, weight_decay: float):
         self.params = params
+        self.lr = lr
+        self.schedule = schedule
+        self.momentum = momentum
+        self.weight_decay = weight_decay
         self.velocity = {k: np.zeros_like(t.data) for k, t in params.items()}
 
+    def lr_at(self, progress: float) -> float:
+        p = min(max(progress, 0.0), 1.0)
+        if self.schedule == "cosine":
+            return self.lr * 0.5 * (1.0 + math.cos(math.pi * p))
+        drops = sum(1 for m in MULTISTEP_MILESTONES if p >= m)
+        return self.lr * MULTISTEP_GAMMA ** drops
+
     def step(self, progress: float) -> None:
-        lr = self.spec.lr_at(progress)
+        lr = self.lr_at(progress)
         for name, t in self.params.items():
             if t.grad is None:
                 continue
-            g = t.grad + self.spec.weight_decay * t.data
+            g = t.grad + self.weight_decay * t.data
             v = self.velocity[name]
-            v *= self.spec.momentum
+            v *= self.momentum
             v += g
             t.data -= lr * v
             t.grad = None
@@ -181,10 +160,14 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         parse_widths(self.encoder_widths)
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = ("n_classes", "samples_per_class", "image_side", "embed_dim",
                     "domain_hidden", "tau", "sinkhorn_epsilon", "sinkhorn_iters",
                     "beta", "kmeans_k", "kmeans_max_iter", "budget_total",
-                    "batch_size", "ssl_lr", "target_lr", "rotation_lr",
+                    "ssl_lr", "target_lr", "rotation_lr",
                     "vat_xi", "vat_eps_radius", "vat_power_iters")
         for name in positive:
             if not getattr(self, name) > 0:
@@ -201,6 +184,11 @@ class RunConfig:
         if self.k_prototypes < 2:
             raise ConfigError(
                 f"k_prototypes must be >= 2, got {self.k_prototypes}")
+        # a smaller batch_size would take no swap-loss training step at all
+        if self.batch_size < self.min_batch:
+            raise ConfigError(
+                f"batch_size must be >= max(2, k_prototypes) = "
+                f"{self.min_batch}, got {self.batch_size}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(
                 f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
@@ -225,6 +213,11 @@ class RunConfig:
             raise ConfigError(
                 f"unknown loss_variant {self.loss_variant!r}; expected one of "
                 f"{', '.join(LOSS_VARIANTS)}")
+
+    @property
+    def min_batch(self) -> int:
+        """Swap-loss training drops a minibatch of fewer rows than this."""
+        return max(2, self.k_prototypes)
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -563,12 +556,11 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
     seeder = _phase_seeder(config.seed, PHASE_PRETRAIN)
     mp = _init_models(config, np.random.default_rng(_draw_seed(seeder)),
                       x.shape[1])
-    opt = Sgd(OptimSpec(config.ssl_lr, config.momentum, config.weight_decay,
-                        "cosine"), models.param_group(mp, "encoder.",
-                                                       "prototypes."))
-    min_size = max(2, config.k_prototypes)
+    opt = Sgd(models.param_group(mp, "encoder.", "prototypes."),
+              config.ssl_lr, "cosine", config.momentum, config.weight_decay)
     total = max(1, config.pretrain_epochs
-                * _steps_per_epoch(x.shape[0], config.batch_size, min_size))
+                * _steps_per_epoch(x.shape[0], config.batch_size,
+                                   config.min_batch))
     records: list[MetricsRecord] = []
     last_good = models.Checkpoint.of(mp, fp, 0)
     step = 0
@@ -576,7 +568,7 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
         for epoch in range(config.pretrain_epochs):
             loss_sum, n_steps = 0.0, 0
             for chunk in _minibatches(x.shape[0], config.batch_size, seeder,
-                                      min_size):
+                                      config.min_batch):
                 va, vb = data.augment_two_views(x[chunk], _draw_seed(seeder))
                 z_a = models.encode(mp.encoder, va, normalize=True)
                 z_b = models.encode(mp.encoder, vb, normalize=True)
@@ -616,9 +608,8 @@ def _train_rotation(config: RunConfig, mp: models.ModelParams,
     rot = mp.rotation
     rx, ry = active.build_rotation_pool(pool_x, _draw_seed(seeder))
     mask_rng = np.random.default_rng(_draw_seed(seeder))
-    opt = Sgd(OptimSpec(config.rotation_lr, config.momentum,
-                        config.weight_decay, "multistep"),
-              models.param_group(mp, "rotation."))
+    opt = Sgd(models.param_group(mp, "rotation."), config.rotation_lr,
+              "multistep", config.momentum, config.weight_decay)
     onehot = np.eye(4)[ry]
     total = max(1, config.rotation_epochs
                 * _steps_per_epoch(rx.shape[0], config.batch_size, 2))
@@ -667,15 +658,27 @@ def _score_indices(config: RunConfig, mp: models.ModelParams,
 # Embedding dumps
 # ---------------------------------------------------------------------------
 
+def _finite_target_embeddings(enc: models.EncoderParams,
+                              target_x: np.ndarray) -> np.ndarray:
+    """Embeddings of the target pool. Finite but huge weights can overflow
+    the forward pass, so a non-finite embedding is a NumericError."""
+    zt = _embed(enc, target_x)
+    bad = np.flatnonzero(~np.all(np.isfinite(zt), axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite embedding of target sample {bad[0]}")
+    return zt
+
+
 def dump_embeddings(path: str | Path, mp: models.ModelParams,
                     source_x: np.ndarray | None,
                     target_x: np.ndarray) -> None:
-    """Write current embeddings of both domains with 0/1 domain tags."""
+    """Write current embeddings of both domains with 0/1 domain tags; a
+    non-finite target embedding is a NumericError and writes nothing."""
     if source_x is not None and len(source_x):
         zs = _embed(mp.encoder, np.asarray(source_x, dtype=np.float64))
     else:
         zs = np.zeros((0, mp.encoder.embed_dim))
-    zt = _embed(mp.encoder, target_x)
+    zt = _finite_target_embeddings(mp.encoder, target_x)
     tags = np.concatenate([np.zeros(zs.shape[0]), np.ones(zt.shape[0])])
     with open(path, "wb") as f:
         f.write(MAGIC_EMBEDDINGS)
@@ -724,10 +727,6 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
         np.random.default_rng(_draw_seed(seeder)), src.encoder,
         config.dropout_rate)
 
-    weights = alignment.AlignmentWeights(config.lambda1, config.lambda2,
-                                         config.grl_lambda)
-    vat_cfg = alignment.VatConfig(config.vat_xi, config.vat_eps_radius,
-                                  config.vat_power_iters)
     use_dal = config.loss_variant in ("consolidated", "dal_vat")
     use_vat = use_dal
     use_ent = config.loss_variant in ("consolidated", "entropy")
@@ -745,7 +744,6 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     static_map: dict[int, active.AcquisitionRecord] = {}
     records: list[MetricsRecord] = []
     last_good: models.Checkpoint | None = None
-    min_size = max(2, config.k_prototypes)
 
     def fn(x: Tensor) -> Tensor:  # the target model's prototype distribution
         z = models.encode(tgt.encoder, x, normalize=True)
@@ -790,20 +788,20 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
             core_x = x_t[np.asarray(core.selected, dtype=np.int64)]
             # the source model is frozen: embed the core-set once per cycle
             z_src_core = _embed(src.encoder, core_x) if use_dal else None
-            opt = Sgd(OptimSpec(config.target_lr, config.momentum,
-                                config.weight_decay, "cosine"),
-                      models.param_group(tgt, *trained))
+            opt = Sgd(models.param_group(tgt, *trained), config.target_lr,
+                      "cosine", config.momentum, config.weight_decay)
             # The schedule restarts each cycle so the growing core-set always
             # gets a full annealing sweep; the last (largest) cycle dominates.
             cycle_total = max(1, config.target_epochs
                               * _steps_per_epoch(core_x.shape[0],
-                                                 config.batch_size, min_size))
+                                                 config.batch_size,
+                                                 config.min_batch))
             for epoch in range(config.target_epochs):
                 sums = {"swap": 0.0, "dal": 0.0, "ent": 0.0, "vat": 0.0,
                         "total": 0.0}
                 n_steps = 0
                 for chunk in _minibatches(core_x.shape[0], config.batch_size,
-                                          seeder, min_size):
+                                          seeder, config.min_batch):
                     xb = core_x[chunk]
                     va, vb = data.augment_two_views(xb, _draw_seed(seeder))
                     vat_seed = _draw_seed(seeder)
@@ -821,14 +819,17 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
                         ent = alignment.entropy_loss(probs)
                     if use_vat:
                         r_adv = alignment.vat_perturbation(
-                            fn, xb, probs.data, vat_cfg, vat_seed)
+                            fn, xb, probs.data, config.vat_xi,
+                            config.vat_eps_radius, config.vat_power_iters,
+                            vat_seed)
                         vat = alignment.vat_loss(fn, xb, probs.data, r_adv)
                     if use_dal:
                         z_tgt = models.encode(tgt.encoder, xb, normalize=True)
                         dal = alignment.dal_loss(
                             tgt.domain, Tensor(z_src_core[chunk]), z_tgt,
                             config.grl_lambda)
-                    loss = alignment.total_loss(swap, dal, ent, vat, weights)
+                    loss = alignment.total_loss(swap, dal, ent, vat,
+                                                config.lambda1, config.lambda2)
                     ad.backward(loss)
                     opt.step(cycle_step / cycle_total)
                     if not config.freeze_prototypes:
@@ -852,10 +853,15 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
             # rotation-model retraining on the core-set
             _train_rotation(config, tgt, core_x, seeder, stage)
 
-            last_good = _finite_checkpoint(tgt, fp, stage)
+            # the cycle's model is the last good one only once it embeds
+            # the target pool finitely
+            ckpt = _finite_checkpoint(tgt, fp, stage)
             if out_path is not None:
                 dump_embeddings(out_path / f"embeds_stage{stage}.bin", tgt,
                                 source_x, x_t)
+            else:
+                _finite_target_embeddings(tgt.encoder, x_t)
+            last_good = ckpt
     except NumericError as exc:
         raise _diverged(exc, "adaptation", stage, epoch, cycle_step, last_good)
     return last_good, core, records

@@ -25,7 +25,6 @@ class CodeMatrix:
     """B x K soft assignments: rows sum to 1, columns approach B/K."""
 
     q: np.ndarray
-    epsilon: float
     iters: int
 
 
@@ -69,7 +68,7 @@ def sinkhorn_codes(scores, epsilon: float = 0.05, iters: int = 3,
         used += 1
         if tol is not None and np.max(np.abs(q.sum(axis=0) - b / k)) <= tol:
             break
-    return CodeMatrix(q=q, epsilon=epsilon, iters=used)
+    return CodeMatrix(q=q, iters=used)
 
 
 def _cross_entropy_vs_codes(scores: Tensor, codes: np.ndarray) -> Tensor:

@@ -290,9 +290,9 @@ def test_criterion_3_loss_invariants():
         failures.append("dal at sigmoid(0) != 2 log 2")
 
     comps = [Tensor(np.asarray(v)) for v in (0.3, 1.1, 0.7, 0.9)]
-    lo1 = al.total_loss(*comps, al.AlignmentWeights(0.4, 0.2)).item()
-    hi1 = al.total_loss(*comps, al.AlignmentWeights(0.8, 0.2)).item()
-    lo2 = al.total_loss(*comps, al.AlignmentWeights(0.4, 0.1)).item()
+    lo1 = al.total_loss(*comps, 0.4, 0.2).item()
+    hi1 = al.total_loss(*comps, 0.8, 0.2).item()
+    lo2 = al.total_loss(*comps, 0.4, 0.1).item()
     if abs((hi1 - lo1) - 0.4 * 1.1) > 1e-12:
         failures.append("total not linear in lambda1")
     if abs((lo1 - lo2) - 0.1 * (0.7 + 0.9)) > 1e-12:

@@ -6,7 +6,7 @@ import pytest
 from a3 import alignment as al
 from a3 import autodiff as ad
 from a3.autodiff import Tensor
-from a3.errors import ConfigError, ContractError, NumericError
+from a3.errors import ContractError, NumericError
 from a3.models import DomainClassifierParams, init_domain_classifier
 
 from helpers import max_rel_err
@@ -32,21 +32,6 @@ def linear_softmax_model(w):
 def clean_probs(w, x):
     """The clean distribution that the caller hands to the VAT helpers."""
     return linear_softmax_model(w)(Tensor(x)).data
-
-
-class TestConfigTypes:
-    def test_weight_validation(self):
-        al.AlignmentWeights(0.0, 0.0, 0.0)
-        for bad in ({"lambda1": -0.1}, {"lambda2": float("nan")},
-                    {"grl_lambda": float("inf")}):
-            with pytest.raises(ConfigError):
-                al.AlignmentWeights(**bad)
-
-    def test_vat_config_validation(self):
-        al.VatConfig()
-        for bad in ({"xi": 0.0}, {"eps_radius": -1.0}, {"power_iters": 0}):
-            with pytest.raises(ConfigError):
-                al.VatConfig(**bad)
 
 
 class TestEntropyLoss:
@@ -121,21 +106,20 @@ class TestVat:
         w = rng.normal(size=(4, 6))
         x = rng.normal(size=(7, 6))
         for radius in (0.5, 1.0, 2.0):
-            cfg = al.VatConfig(eps_radius=radius, power_iters=2)
             r = al.vat_perturbation(linear_softmax_model(w), x,
-                                    clean_probs(w, x), cfg, seed=5)
+                                    clean_probs(w, x), 1e-6, radius, 2,
+                                    seed=5)
             np.testing.assert_allclose(np.linalg.norm(r, axis=1), radius, atol=1e-9)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         w = rng.normal(size=(3, 5))
         x = rng.normal(size=(4, 5))
-        cfg = al.VatConfig()
         model, p = linear_softmax_model(w), clean_probs(w, x)
-        a = al.vat_perturbation(model, x, p, cfg, seed=9)
-        b = al.vat_perturbation(model, x, p, cfg, seed=9)
+        a = al.vat_perturbation(model, x, p, 1e-6, 1.0, 1, seed=9)
+        b = al.vat_perturbation(model, x, p, 1e-6, 1.0, 1, seed=9)
         assert np.array_equal(a, b)
-        c = al.vat_perturbation(model, x, p, cfg, seed=10)
+        c = al.vat_perturbation(model, x, p, 1e-6, 1.0, 1, seed=10)
         assert not np.array_equal(a, c)
 
     def test_zero_perturbation_gives_zero_loss(self):
@@ -174,19 +158,19 @@ class TestVat:
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(3, 2))
         x = rng.normal(size=(1, 2))
-        cfg = al.VatConfig(xi=1e-6, eps_radius=0.1, power_iters=4)
+        eps_radius = 0.1
         r = al.vat_perturbation(linear_softmax_model(w), x, clean_probs(w, x),
-                                cfg, seed=seed + 100)
+                                1e-6, eps_radius, 4, seed=seed + 100)
 
         dirs = rng.normal(size=(10000, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         p_clean = softmax_np(x @ w.T)
-        perturbed = softmax_np((x + cfg.eps_radius * dirs) @ w.T)
+        perturbed = softmax_np((x + eps_radius * dirs) @ w.T)
         pc = np.clip(p_clean, 1e-7, 1.0)
         qc = np.clip(perturbed, 1e-7, 1.0)
         kls = (pc * (np.log(pc) - np.log(qc))).sum(axis=1)
         u_star = dirs[np.argmax(kls)]
-        cos = abs(float(r[0] @ u_star) / cfg.eps_radius)
+        cos = abs(float(r[0] @ u_star) / eps_radius)
         assert cos >= 0.99
 
     @pytest.mark.parametrize("seed", [0, 1, 4, 6, 8])
@@ -196,8 +180,8 @@ class TestVat:
         x = rng.normal(size=(4, 3))
         model = linear_softmax_model(w)
         p = clean_probs(w, x)
-        r1 = al.vat_perturbation(model, x, p, al.VatConfig(power_iters=1), seed=seed)
-        r4 = al.vat_perturbation(model, x, p, al.VatConfig(power_iters=4), seed=seed)
+        r1 = al.vat_perturbation(model, x, p, 1e-6, 1.0, 1, seed=seed)
+        r4 = al.vat_perturbation(model, x, p, 1e-6, 1.0, 4, seed=seed)
         kl1 = al.vat_loss(model, x, p, r1).item()
         kl4 = al.vat_loss(model, x, p, r4).item()
         assert kl4 >= kl1 - 1e-12
@@ -214,8 +198,8 @@ class TestVat:
             return linear_softmax_model(w)(xt)
 
         p = clean_probs(w, x)
-        cfg = al.VatConfig(power_iters=power_iters)
-        al.vat_loss(model, x, p, al.vat_perturbation(model, x, p, cfg, seed=3))
+        al.vat_loss(model, x, p, al.vat_perturbation(model, x, p, 1e-6, 1.0,
+                                                     power_iters, seed=3))
         assert len(inputs) == power_iters + 1
         assert not any(np.array_equal(seen, x) for seen in inputs)
 
@@ -227,7 +211,7 @@ class TestVat:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError, match="sample index 1"):
                 al.vat_perturbation(linear_softmax_model(w), x,
-                                    clean_probs(w, x), al.VatConfig(), seed=0)
+                                    clean_probs(w, x), 1e-6, 1.0, 1, seed=0)
 
 
 def zeroed_domain_classifier(embed_dim=6, hidden=5) -> DomainClassifierParams:
@@ -305,38 +289,33 @@ class TestTotalLoss:
 
     def test_zero_weights_reduce_to_swap(self):
         swap, dal, ent, vat = self.scalars(1.7, 2.0, 3.0, 4.0)
-        w = al.AlignmentWeights(lambda1=0.0, lambda2=0.0)
-        assert al.total_loss(swap, dal, ent, vat, w).item() == 1.7
+        assert al.total_loss(swap, dal, ent, vat, 0.0, 0.0).item() == 1.7
 
     def test_weighted_sum_arithmetic(self):
         swap, dal, ent, vat = self.scalars(1.0, 2.0, 3.0, 4.0)
-        w = al.AlignmentWeights(lambda1=0.5, lambda2=0.1)
-        assert al.total_loss(swap, dal, ent, vat, w).item() == pytest.approx(
-            2.7, rel=1e-12)
+        total = al.total_loss(swap, dal, ent, vat, 0.5, 0.1).item()
+        assert total == pytest.approx(2.7, rel=1e-12)
 
     def test_linear_in_each_component(self):
         swap, dal, ent, vat = self.scalars(0.3, 1.1, 0.7, 0.9)
-        lo = al.total_loss(swap, dal, ent, vat,
-                           al.AlignmentWeights(lambda1=0.4, lambda2=0.2)).item()
-        hi = al.total_loss(swap, dal, ent, vat,
-                           al.AlignmentWeights(lambda1=0.8, lambda2=0.2)).item()
+        lo = al.total_loss(swap, dal, ent, vat, 0.4, 0.2).item()
+        hi = al.total_loss(swap, dal, ent, vat, 0.8, 0.2).item()
         assert hi - lo == pytest.approx(0.4 * 1.1, rel=1e-12)
 
     def test_nonfinite_component_named(self):
         swap, dal, ent, vat = self.scalars(1.0, 2.0, 3.0, np.nan)
         with pytest.raises(NumericError, match="vat"):
-            al.total_loss(swap, dal, ent, vat, al.AlignmentWeights())
+            al.total_loss(swap, dal, ent, vat, 1.0, 0.1)
 
     def test_nonscalar_component_rejected(self):
         swap, dal, ent = self.scalars(1.0, 2.0, 3.0)
         with pytest.raises(ContractError):
-            al.total_loss(swap, dal, ent, Tensor(np.ones(2)), al.AlignmentWeights())
+            al.total_loss(swap, dal, ent, Tensor(np.ones(2)), 1.0, 0.1)
 
     def test_gradient_reaches_all_components(self):
         comps = [Tensor(np.asarray(v), requires_grad=True) for v in
                  (1.0, 2.0, 3.0, 4.0)]
-        w = al.AlignmentWeights(lambda1=0.5, lambda2=0.1)
-        ad.backward(al.total_loss(*comps, w))
+        ad.backward(al.total_loss(*comps, 0.5, 0.1))
         assert comps[0].grad == pytest.approx(1.0)
         assert comps[1].grad == pytest.approx(0.5)
         assert comps[2].grad == pytest.approx(0.1)

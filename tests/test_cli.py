@@ -136,6 +136,13 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:") and str(path) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_finite_setting_refused_before_any_work(self, tmp_path):
+        out = tmp_path / "run"
+        proc = run_cli(["pretrain", "--out", str(out), "--tau", "inf"])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: tau must be finite, got inf\n"
+        assert not out.exists()
+
     def test_numeric_abort_saves_last_good(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
             rc = cli.main(["pretrain", "--out", str(tmp_path),
@@ -207,6 +214,36 @@ class TestNonFiniteCheckpoints:
         assert not (out / "target_ckpt.bin").exists()
 
 
+class TestMalformedCheckpoints:
+    @pytest.mark.parametrize("name,edit", [
+        ("rotation.dropout_rate", lambda t: t.update(
+            {"rotation.dropout_rate": np.array([0.25, 0.25])})),
+        ("rotation.dropout_rate", lambda t: t.pop("rotation.dropout_rate")),
+        ("prototypes.vectors", lambda t: t.update(
+            {"prototypes.vectors": t["prototypes.vectors"].reshape(-1)})),
+        ("domain.fc.weight",
+         lambda t: t.update({"domain.fc.weight": np.zeros((64, 5))})),
+    ], ids=["dropout_rate_2_elements", "dropout_rate_missing",
+            "prototypes_1d", "domain_fc_weight_64x5"])
+    def test_eval_and_adapt_exit_2_naming_the_tensor(self, workdir, tmp_path,
+                                                     name, edit):
+        tensors = tensors_in(workdir / "source_ckpt.bin")
+        edit(tensors)
+        path = tmp_path / "malformed.bin"
+        models.save_checkpoint(path, models.Checkpoint(tensors))
+        bundle = ["--bundle", str(workdir / "bundle.bin")] + TINY
+        for argv in (["eval", "--ckpt", str(path)],
+                     ["adapt", "--source-ckpt", str(path), "--out",
+                      str(tmp_path / "adapted")]):
+            proc = run_cli(argv + bundle)
+            assert proc.returncode == 2
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), \
+                proc.stderr
+            assert f"'{name}'" in lines[0]
+            assert proc.stdout == ""
+
+
 class TestDivergenceStderr:
     """A numeric abort prints the error line and the saved-checkpoint line,
     and no NumPy warning, with Python's default warning filters."""
@@ -232,6 +269,29 @@ class TestDivergenceStderr:
                         "--target-lr", "1.7e308"] + TINY, warnings="default")
         self.assert_two_lines(proc, "adaptation",
                               tmp_path / "target_ckpt.bin")
+
+    def test_adapt_overflowing_forward_pass(self, tmp_path):
+        # the last step leaves finite weights near 1e308 whose forward pass
+        # overflows; that model must not become the last good one
+        flags = ["--samples-per-class", "8", "--pretrain-epochs", "1",
+                 "--target-epochs", "1", "--rotation-epochs", "1",
+                 "--budget-total", "30", "--n-cycles", "4", "--kmeans-k", "4",
+                 "--t-passes", "2"]
+        assert run_cli(["pretrain", "--out", str(tmp_path)]
+                       + flags).returncode == 0
+        out = tmp_path / "adapted"
+        proc = run_cli(["adapt", "--source-ckpt",
+                        str(tmp_path / "source_ckpt.bin"), "--out", str(out),
+                        "--target-lr", "1.7e308"] + flags, warnings="default")
+        self.assert_two_lines(proc, "adaptation", out / "target_ckpt.bin")
+        assert "non-finite embedding of target sample" in proc.stderr
+        saved = models.load_checkpoint(out / "target_ckpt.bin")
+        cfg = pipeline.config_from_pairs(
+            {k[2:].replace("-", "_"): v for k, v in zip(flags[::2],
+                                                        flags[1::2])})
+        bundle = data.generate_domain_pair(cfg.domain_spec())
+        z = models.encode(saved.models().encoder, bundle.target_x)
+        assert np.all(np.isfinite(z.data))
 
 
 class TestWorkflow:

@@ -1,6 +1,7 @@
 """Parameter containers, forward passes, and checkpoint serialization."""
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -260,6 +261,23 @@ class TestTensorContainer:
             check_magic(buf, MAGIC_CHECKPOINT)
 
 
+# (tensor, wrong value, expected shape) for tiny_models' dims
+WRONG_SHAPES = [
+    ("rotation.dropout_rate", np.array([0.25, 0.25]), "()"),
+    ("prototypes.vectors", np.ones(24), "(k, 6)"),
+    ("domain.fc.weight", np.ones((5, 5)), "(hidden, 6)"),
+    ("domain.fc.bias", np.ones(4), "(5,)"),
+    ("domain.logit.weight", np.ones((1, 4)), "(1, 5)"),
+    ("domain.logit.bias", np.ones(()), "(1,)"),
+    ("encoder.layer0.bias", np.ones(11), "(12,)"),
+    ("encoder.layer1.weight", np.ones((10, 11)), "(width, 12)"),
+    ("encoder.projection", np.ones((6, 9)), "(embed_dim, 10)"),
+    ("rotation.trunk.layer0.weight", np.ones((12, 8)), "(width, 9)"),
+    ("rotation.head.weight", np.ones((4, 5)), "(4, 6)"),
+    ("rotation.head.bias", np.ones((4, 1)), "(4,)"),
+]
+
+
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         ckpt = m.Checkpoint.of(tiny_models(12), fingerprint=m.fnv1a64("cfg"), stage=3)
@@ -301,6 +319,22 @@ class TestCheckpoint:
         arrays = m.to_tensor_map(tiny_models(15))
         del arrays["prototypes.vectors"]
         with pytest.raises(FormatError, match="prototypes.vectors"):
+            m.from_tensor_map(arrays)
+
+    @pytest.mark.parametrize("name,value,expected", WRONG_SHAPES,
+                             ids=[case[0] for case in WRONG_SHAPES])
+    def test_wrong_shape_tensor_rejected(self, name, value, expected):
+        arrays = m.to_tensor_map(tiny_models(15))
+        arrays[name] = value
+        want = (f"checkpoint tensor '{name}' has shape {value.shape}, "
+                f"expected {expected}")
+        with pytest.raises(FormatError, match="^" + re.escape(want) + "$"):
+            m.from_tensor_map(arrays)
+
+    def test_missing_dropout_rate_rejected(self):
+        arrays = m.to_tensor_map(tiny_models(15))
+        del arrays["rotation.dropout_rate"]
+        with pytest.raises(FormatError, match="'rotation.dropout_rate'"):
             m.from_tensor_map(arrays)
 
     def test_clone_is_deep(self):

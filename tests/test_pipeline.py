@@ -32,52 +32,39 @@ def checkpoints_equal(a, b):
                     for k in a.tensors))
 
 
-class TestOptimSpec:
+class TestSgd:
     def test_cosine_endpoints_and_midpoint(self):
-        spec = pipeline.OptimSpec(lr=0.2, schedule="cosine")
-        assert spec.lr_at(0.0) == pytest.approx(0.2)
-        assert spec.lr_at(0.5) == pytest.approx(0.1)
-        assert spec.lr_at(1.0) == pytest.approx(0.0, abs=1e-15)
+        opt = pipeline.Sgd({}, 0.2, "cosine", 0.9, 0.0)
+        assert opt.lr_at(0.0) == pytest.approx(0.2)
+        assert opt.lr_at(0.5) == pytest.approx(0.1)
+        assert opt.lr_at(1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_cosine_monotone_decrease(self):
-        spec = pipeline.OptimSpec(lr=1.0, schedule="cosine")
-        grid = [spec.lr_at(p) for p in np.linspace(0, 1, 21)]
+        opt = pipeline.Sgd({}, 1.0, "cosine", 0.9, 0.0)
+        grid = [opt.lr_at(p) for p in np.linspace(0, 1, 21)]
         assert all(a >= b for a, b in zip(grid, grid[1:]))
 
     def test_multistep_drops_at_milestones(self):
-        spec = pipeline.OptimSpec(lr=1.0, schedule="multistep",
-                                  milestones=(0.5, 0.75), gamma=0.1)
-        assert spec.lr_at(0.0) == pytest.approx(1.0)
-        assert spec.lr_at(0.49) == pytest.approx(1.0)
-        assert spec.lr_at(0.5) == pytest.approx(0.1)
-        assert spec.lr_at(0.74) == pytest.approx(0.1)
-        assert spec.lr_at(0.75) == pytest.approx(0.01)
-        assert spec.lr_at(1.0) == pytest.approx(0.01)
+        opt = pipeline.Sgd({}, 1.0, "multistep", 0.9, 0.0)
+        assert pipeline.MULTISTEP_MILESTONES == (0.5, 0.75)
+        assert pipeline.MULTISTEP_GAMMA == 0.1
+        assert opt.lr_at(0.0) == pytest.approx(1.0)
+        assert opt.lr_at(0.49) == pytest.approx(1.0)
+        assert opt.lr_at(0.5) == pytest.approx(0.1)
+        assert opt.lr_at(0.74) == pytest.approx(0.1)
+        assert opt.lr_at(0.75) == pytest.approx(0.01)
+        assert opt.lr_at(1.0) == pytest.approx(0.01)
 
     def test_progress_is_clamped(self):
-        spec = pipeline.OptimSpec(lr=1.0, schedule="cosine")
-        assert spec.lr_at(-0.5) == pytest.approx(1.0)
-        assert spec.lr_at(1.5) == pytest.approx(0.0, abs=1e-15)
+        opt = pipeline.Sgd({}, 1.0, "cosine", 0.9, 0.0)
+        assert opt.lr_at(-0.5) == pytest.approx(1.0)
+        assert opt.lr_at(1.5) == pytest.approx(0.0, abs=1e-15)
 
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ConfigError):
-            pipeline.OptimSpec(lr=0.0)
-        with pytest.raises(ConfigError):
-            pipeline.OptimSpec(lr=0.1, momentum=1.0)
-        with pytest.raises(ConfigError):
-            pipeline.OptimSpec(lr=0.1, weight_decay=-1e-3)
-        with pytest.raises(ConfigError):
-            pipeline.OptimSpec(lr=0.1, schedule="linear")
-
-
-class TestSgd:
     def test_single_step_matches_manual_update(self):
         from a3.autodiff import Tensor
         t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         t.grad = np.array([0.5, 0.25])
-        spec = pipeline.OptimSpec(lr=0.1, momentum=0.9, weight_decay=0.01,
-                                  schedule="cosine")
-        opt = pipeline.Sgd(spec, {"p": t})
+        opt = pipeline.Sgd({"p": t}, 0.1, "cosine", 0.9, 0.01)
         opt.step(0.0)
         g = np.array([0.5, 0.25]) + 0.01 * np.array([1.0, -2.0])
         np.testing.assert_allclose(t.data, np.array([1.0, -2.0]) - 0.1 * g,
@@ -87,9 +74,7 @@ class TestSgd:
     def test_momentum_accumulates_velocity(self):
         from a3.autodiff import Tensor
         t = Tensor(np.array([0.0]), requires_grad=True)
-        spec = pipeline.OptimSpec(lr=1.0, momentum=0.5, weight_decay=0.0,
-                                  schedule="multistep", milestones=(),)
-        opt = pipeline.Sgd(spec, {"p": t})
+        opt = pipeline.Sgd({"p": t}, 1.0, "multistep", 0.5, 0.0)
         t.grad = np.array([1.0])
         opt.step(0.0)
         t.grad = np.array([1.0])
@@ -100,9 +85,13 @@ class TestSgd:
     def test_params_without_grad_are_skipped(self):
         from a3.autodiff import Tensor
         t = Tensor(np.array([3.0]), requires_grad=True)
-        opt = pipeline.Sgd(pipeline.OptimSpec(lr=0.1), {"p": t})
+        opt = pipeline.Sgd({"p": t}, 0.1, "cosine", 0.9, 1e-6)
         opt.step(0.0)
         np.testing.assert_array_equal(t.data, np.array([3.0]))
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(pipeline.RunConfig)
+                if f.type == "float"]
 
 
 class TestRunConfig:
@@ -132,6 +121,39 @@ class TestRunConfig:
             pipeline.RunConfig(dropout_rate=1.0)
         with pytest.raises(ConfigError):
             pipeline.RunConfig(encoder_widths="128,-1")
+
+    def test_float_fields_are_found(self):
+        assert {"weight_decay", "tau", "sinkhorn_epsilon", "beta", "lambda1",
+                "lambda2", "vat_xi", "vat_eps_radius", "grl_lambda",
+                "noise_sigma", "intensity_scale", "contrast_gamma", "ssl_lr",
+                "target_lr"} <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_rejects_non_finite_float(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            pipeline.RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("lambda1", -0.1), ("lambda2", -0.1), ("grl_lambda", -1.0),
+        ("vat_xi", 0.0), ("vat_eps_radius", -1.0), ("vat_power_iters", 0),
+        ("ssl_lr", 0.0), ("target_lr", 0.0), ("rotation_lr", 0.0),
+        ("momentum", 1.0), ("weight_decay", -1e-3),
+    ])
+    def test_rejects_out_of_range_setting(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must "):
+            pipeline.RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("batch_size,k_prototypes", [
+        (1, 16), (15, 16), (1, 2), (3, 4)])
+    def test_rejects_batch_below_min_batch(self, batch_size, k_prototypes):
+        with pytest.raises(ConfigError, match="^batch_size must be >= "):
+            pipeline.RunConfig(batch_size=batch_size,
+                               k_prototypes=k_prototypes)
+        cfg = pipeline.RunConfig(batch_size=max(2, k_prototypes),
+                                 k_prototypes=k_prototypes)
+        assert cfg.min_batch == cfg.batch_size
 
     def test_training_never_receives_labels(self):
         # the label-leakage guard is structural: no training entry point
@@ -513,6 +535,25 @@ class TestAdapt:
         assert info.value.where == ("adaptation", 0, 0, 0)
         assert not hasattr(info.value, "last_good")
 
+    def test_overflowing_forward_pass_is_divergence(self):
+        # finite weights near 1e308 after stage 2's one step; without an
+        # out_dir adapt still embeds the pool before keeping the model
+        cfg = small_config(samples_per_class=8, pretrain_epochs=1,
+                           target_epochs=1, rotation_epochs=1,
+                           budget_total=30, kmeans_k=4, t_passes=2,
+                           target_lr=1.7e308)
+        bundle = make_bundle(cfg)
+        ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError,
+                               match="non-finite embedding of target") as info:
+                pipeline.adapt(cfg, ckpt, bundle.target_x)
+        assert info.value.where[:2] == ("adaptation", 2)
+        last_good = info.value.last_good
+        assert last_good.stage == 1
+        z = models.encode(last_good.models().encoder, bundle.target_x)
+        assert np.all(np.isfinite(z.data))
+
     def test_rotation_divergence_names_its_stage(self):
         cfg = small_config(rotation_lr=1e150)
         bundle = make_bundle(cfg)
@@ -557,9 +598,10 @@ class TestAdapt:
             for stage in range(1, n_stages + 1))
         source = made[0]  # adapt copies the frozen source model first
         assert sum(p is source for p in encoded) == n_stages
-        # plus one embedding of the remaining pool per cycle for scoring
+        # plus two embeddings per cycle: the remaining pool for scoring,
+        # and the whole pool for the finite-embedding check
         assert sum(any(p is t for t in made[1:]) for p in encoded) \
-            == steps * (5 + power_iters) + n_stages
+            == steps * (5 + power_iters) + 2 * n_stages
 
     def test_embedding_dumps_per_stage(self, tmp_path):
         cfg = small_config()

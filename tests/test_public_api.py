@@ -1,5 +1,7 @@
 """Every public module-level function and class of the package is used by
-the package itself, so that no API survives that only tests call."""
+the package itself, so that no API survives that only tests call; and every
+dataclass field and property is read somewhere, in the package or its
+tests."""
 
 import ast
 from pathlib import Path
@@ -7,9 +9,15 @@ from pathlib import Path
 import a3
 
 PACKAGE = Path(a3.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # Autodiff ops that only the gradient-integrity acceptance criterion uses.
 TEST_ONLY = {"autodiff.concat", "autodiff.tslice"}
+
+
+def parse_all(directory: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
 
 
 def public_definitions(tree: ast.Module) -> list[str]:
@@ -31,11 +39,56 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def decorator_names(node: ast.ClassDef | ast.FunctionDef) -> set[str]:
+    names = set()
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        names.add(target.attr if isinstance(target, ast.Attribute)
+                  else getattr(target, "id", ""))
+    return names
+
+
+def members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) for each dataclass field and each property."""
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        is_dataclass = "dataclass" in decorator_names(cls)
+        for node in cls.body:
+            if is_dataclass and isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                out.append((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef) \
+                    and "property" in decorator_names(node):
+                out.append((cls.name, node.name))
+    return out
+
+
+def attribute_loads(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_definition_is_referenced_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = parse_all(PACKAGE)
     used = set().union(*(referenced_names(t) for t in trees.values()))
     orphans = [f"{module}.{name}" for module, tree in trees.items()
                for name in public_definitions(tree)
                if name not in used and f"{module}.{name}" not in TEST_ONLY]
     assert orphans == []
+
+
+def test_every_member_is_read():
+    """A member counts as read when some ``x.name`` load in the package or
+    its tests spells its name. The match is by name alone, so a member that
+    shares its name with another attribute, such as NumPy's ``size``, is
+    not caught by this check."""
+    package = parse_all(PACKAGE)
+    loads = set().union(*(attribute_loads(t) for t in
+                          [*package.values(), *parse_all(TESTS).values()]))
+    defined = [f"{module}.{cls}.{name}" for module, tree in package.items()
+               for cls, name in members(tree)]
+    assert len(defined) > 50
+    assert [m for m in defined if m.rsplit(".", 1)[1] not in loads] == []
