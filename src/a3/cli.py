@@ -71,6 +71,7 @@ def _numeric_abort(exc: NumericError, save_to: Path | None) -> int:
     print(f"error: {exc}", file=sys.stderr)
     last = getattr(exc, "last_good", None)
     if last is not None and save_to is not None:
+        save_to.parent.mkdir(parents=True, exist_ok=True)
         models.save_checkpoint(save_to, last)
         print(f"last finite checkpoint saved to {save_to}", file=sys.stderr)
     return 3
@@ -95,7 +96,6 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     config = _build_config(args)
     bundle = _load_or_make_bundle(args, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     evaluator = pipeline.make_evaluator(bundle) if args.track_accuracy \
         else None
     try:
@@ -103,6 +103,7 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
                                                  evaluator=evaluator)
     except NumericError as exc:
         return _numeric_abort(exc, out / SOURCE_CKPT_NAME)
+    out.mkdir(parents=True, exist_ok=True)
     models.save_checkpoint(out / SOURCE_CKPT_NAME, ckpt)
     pipeline.write_metrics(out / "metrics_pretrain.jsonl", records)
     print(f"wrote {out / SOURCE_CKPT_NAME}")
@@ -115,10 +116,10 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     source_ckpt = models.load_checkpoint(args.source_ckpt)
     bundle = _load_or_make_bundle(args, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     evaluator = pipeline.make_evaluator(bundle) if args.track_accuracy \
         else None
     try:
+        # adapt creates the output directory once its checks pass
         ckpt, core, records = pipeline.adapt(
             config, source_ckpt, bundle.target_x, source_x=bundle.source_x,
             evaluator=evaluator, out_dir=out)

@@ -96,8 +96,7 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 def init_encoder(rng: np.random.Generator, in_dim: int,
-                 widths: tuple[int, ...] = (128, 128),
-                 embed_dim: int = 32) -> EncoderParams:
+                 widths: tuple[int, ...], embed_dim: int) -> EncoderParams:
     layers = []
     prev = in_dim
     for w in widths:
@@ -116,7 +115,7 @@ def init_prototypes(rng: np.random.Generator, k: int, embed_dim: int) -> Prototy
 
 
 def init_domain_classifier(rng: np.random.Generator, embed_dim: int,
-                           hidden: int = 64) -> DomainClassifierParams:
+                           hidden: int) -> DomainClassifierParams:
     return DomainClassifierParams(
         w1=Tensor(rng.normal(0.0, np.sqrt(2.0 / embed_dim), size=(hidden, embed_dim)),
                   requires_grad=True),

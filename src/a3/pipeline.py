@@ -205,6 +205,12 @@ class RunConfig:
             raise ConfigError(
                 f"budget_total {self.budget_total} must split evenly across "
                 f"{self.n_cycles - 1} adaptation cycles")
+        # the first cycle's core-set must fill one training step
+        if self.budget_total // (self.n_cycles - 1) < self.min_batch:
+            raise ConfigError(
+                f"budget_total {self.budget_total} gives "
+                f"{self.budget_total // (self.n_cycles - 1)} samples per "
+                f"cycle, fewer than max(2, k_prototypes) = {self.min_batch}")
         if self.acquisition not in active.SCORING_MODES:
             raise ConfigError(
                 f"unknown acquisition {self.acquisition!r}; expected one of "
@@ -468,8 +474,11 @@ def _steps_per_epoch(n: int, batch_size: int, min_size: int) -> int:
 def _check_input_matrix(x: np.ndarray, config: RunConfig, what: str) -> None:
     if x.ndim != 2:
         raise ContractError(f"{what} must be a 2-D sample matrix, got {x.shape}")
-    if x.shape[0] == 0:
-        raise ContractError(f"{what} is empty")
+    # every phase must take at least one training step per epoch
+    if x.shape[0] < config.min_batch:
+        raise ConfigError(
+            f"{what} has {x.shape[0]} rows, fewer than the "
+            f"max(2, k_prototypes) = {config.min_batch} of one training step")
     if x.shape[1] != config.in_dim:
         raise ConfigError(
             f"{what} has {x.shape[1]} features but the config expects "
@@ -537,6 +546,16 @@ def _finite_checkpoint(mp: models.ModelParams, fingerprint: int,
     return ckpt
 
 
+def _swap_term(config: RunConfig, mp: models.ModelParams, xb: np.ndarray,
+               seed: int) -> Tensor:
+    """Swap-prediction loss between two augmented views of a minibatch."""
+    va, vb = data.augment_two_views(xb, seed)
+    z_a = models.encode(mp.encoder, va, normalize=True)
+    z_b = models.encode(mp.encoder, vb, normalize=True)
+    return ssl_swap.swap_loss(z_a, z_b, mp.prototypes, config.tau,
+                              config.sinkhorn_epsilon, config.sinkhorn_iters)
+
+
 # ---------------------------------------------------------------------------
 # Stage 0: source pretraining
 # ---------------------------------------------------------------------------
@@ -558,23 +577,18 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
                       x.shape[1])
     opt = Sgd(models.param_group(mp, "encoder.", "prototypes."),
               config.ssl_lr, "cosine", config.momentum, config.weight_decay)
-    total = max(1, config.pretrain_epochs
-                * _steps_per_epoch(x.shape[0], config.batch_size,
-                                   config.min_batch))
+    per_epoch = _steps_per_epoch(x.shape[0], config.batch_size,
+                                 config.min_batch)
+    total = config.pretrain_epochs * per_epoch
     records: list[MetricsRecord] = []
     last_good = models.Checkpoint.of(mp, fp, 0)
     step = 0
     try:
         for epoch in range(config.pretrain_epochs):
-            loss_sum, n_steps = 0.0, 0
+            loss_sum = 0.0
             for chunk in _minibatches(x.shape[0], config.batch_size, seeder,
                                       config.min_batch):
-                va, vb = data.augment_two_views(x[chunk], _draw_seed(seeder))
-                z_a = models.encode(mp.encoder, va, normalize=True)
-                z_b = models.encode(mp.encoder, vb, normalize=True)
-                loss = ssl_swap.swap_loss(z_a, z_b, mp.prototypes, config.tau,
-                                          config.sinkhorn_epsilon,
-                                          config.sinkhorn_iters)
+                loss = _swap_term(config, mp, x[chunk], _draw_seed(seeder))
                 val = loss.item()
                 if not math.isfinite(val):
                     raise NumericError(f"non-finite loss {val}")
@@ -582,10 +596,9 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
                 opt.step(step / total)
                 ssl_swap.prototype_normalize(mp.prototypes)
                 loss_sum += val
-                n_steps += 1
                 step += 1
             ckpt = _finite_checkpoint(mp, fp, 0)
-            mean = loss_sum / n_steps if n_steps else 0.0
+            mean = loss_sum / per_epoch
             s_acc, t_acc = evaluator(mp) if evaluator else (-1.0, -1.0)
             records.append(MetricsRecord(
                 stage=0, epoch=epoch, swap=mean, dal=0.0, ent=0.0, vat=0.0,
@@ -611,8 +624,8 @@ def _train_rotation(config: RunConfig, mp: models.ModelParams,
     opt = Sgd(models.param_group(mp, "rotation."), config.rotation_lr,
               "multistep", config.momentum, config.weight_decay)
     onehot = np.eye(4)[ry]
-    total = max(1, config.rotation_epochs
-                * _steps_per_epoch(rx.shape[0], config.batch_size, 2))
+    total = config.rotation_epochs * _steps_per_epoch(rx.shape[0],
+                                                      config.batch_size, 2)
     step = 0
     for epoch in range(config.rotation_epochs):
         for chunk in _minibatches(rx.shape[0], config.batch_size, seeder, 2):
@@ -620,8 +633,9 @@ def _train_rotation(config: RunConfig, mp: models.ModelParams,
                 mask_rng, (chunk.shape[0], rot.trunk.embed_dim),
                 rot.dropout_rate)
             probs = models.rotation_predict(rot, rx[chunk], mask=mask)
-            picked = ad.tsum(ad.mul(ad.log(ad.clamp(probs, 1e-7, 1.0)),
-                                    Tensor(onehot[chunk])), axis=1)
+            picked = ad.tsum(ad.mul(ad.log(ad.clamp(
+                probs, alignment.PROB_FLOOR, 1.0)), Tensor(onehot[chunk])),
+                axis=1)
             loss = ad.neg(ad.tmean(picked))
             if not math.isfinite(loss.item()):
                 raise _diverged(NumericError(f"non-finite loss {loss.item()}"),
@@ -669,27 +683,97 @@ def _finite_target_embeddings(enc: models.EncoderParams,
     return zt
 
 
-def dump_embeddings(path: str | Path, mp: models.ModelParams,
+def dump_embeddings(path: str | Path, enc: models.EncoderParams,
                     source_x: np.ndarray | None,
-                    target_x: np.ndarray) -> None:
-    """Write current embeddings of both domains with 0/1 domain tags; a
-    non-finite target embedding is a NumericError and writes nothing."""
+                    target_z: np.ndarray) -> None:
+    """Write the source embeddings under enc and the given target
+    embeddings, with 0/1 domain tags."""
     if source_x is not None and len(source_x):
-        zs = _embed(mp.encoder, np.asarray(source_x, dtype=np.float64))
+        zs = _embed(enc, np.asarray(source_x, dtype=np.float64))
     else:
-        zs = np.zeros((0, mp.encoder.embed_dim))
-    zt = _finite_target_embeddings(mp.encoder, target_x)
-    tags = np.concatenate([np.zeros(zs.shape[0]), np.ones(zt.shape[0])])
+        zs = np.zeros((0, enc.embed_dim))
+    tags = np.concatenate([np.zeros(zs.shape[0]), np.ones(target_z.shape[0])])
     with open(path, "wb") as f:
         f.write(MAGIC_EMBEDDINGS)
         write_tensor_map(f, {"source_embeddings": zs,
-                             "target_embeddings": zt,
+                             "target_embeddings": target_z,
                              "domain_tags": tags})
 
 
 # ---------------------------------------------------------------------------
 # Active adaptation
 # ---------------------------------------------------------------------------
+
+def _train_target(config: RunConfig, tgt: models.ModelParams,
+                  src: models.ModelParams, core_x: np.ndarray,
+                  seeder: np.random.Generator, stage: int,
+                  evaluator: Evaluator | None) -> list[MetricsRecord]:
+    """Trains the target model on core-set minibatches with the combined
+    objective; returns one MetricsRecord per epoch."""
+    use_dal = config.loss_variant in ("consolidated", "dal_vat")
+    use_ent = config.loss_variant in ("consolidated", "entropy")
+    trained = ("encoder.", "domain.") if config.freeze_prototypes \
+        else ("encoder.", "prototypes.", "domain.")
+    # the source model is frozen: embed the core-set once per cycle
+    z_src = _embed(src.encoder, core_x) if use_dal else None
+    opt = Sgd(models.param_group(tgt, *trained), config.target_lr,
+              "cosine", config.momentum, config.weight_decay)
+    # The schedule restarts each cycle so the growing core-set always gets a
+    # full annealing sweep; the last (largest) cycle dominates.
+    per_epoch = _steps_per_epoch(core_x.shape[0], config.batch_size,
+                                 config.min_batch)
+    total = config.target_epochs * per_epoch
+
+    def fn(x: Tensor) -> Tensor:  # the target model's prototype distribution
+        z = models.encode(tgt.encoder, x, normalize=True)
+        return ad.softmax(models.prototype_scores(z, tgt.prototypes,
+                                                  config.tau), axis=1)
+
+    records: list[MetricsRecord] = []
+    epoch = step = 0
+    try:
+        for epoch in range(config.target_epochs):
+            sums = dict.fromkeys(("swap", "dal", "ent", "vat", "total"), 0.0)
+            for chunk in _minibatches(core_x.shape[0], config.batch_size,
+                                      seeder, config.min_batch):
+                xb = core_x[chunk]
+                swap = _swap_term(config, tgt, xb, _draw_seed(seeder))
+                vat_seed = _draw_seed(seeder)
+                ent = vat = dal = Tensor(0.0)
+                # the one clean pass of the step: entropy differentiates it,
+                # VAT holds its values fixed
+                probs = fn(Tensor(xb))
+                if use_ent:
+                    ent = alignment.entropy_loss(probs)
+                if use_dal:  # VAT runs with DAL
+                    r_adv = alignment.vat_perturbation(
+                        fn, xb, probs.data, config.vat_xi,
+                        config.vat_eps_radius, config.vat_power_iters,
+                        vat_seed)
+                    vat = alignment.vat_loss(fn, xb, probs.data, r_adv)
+                    z_tgt = models.encode(tgt.encoder, xb, normalize=True)
+                    dal = alignment.dal_loss(tgt.domain, Tensor(z_src[chunk]),
+                                             z_tgt, config.grl_lambda)
+                loss = alignment.total_loss(swap, dal, ent, vat,
+                                            config.lambda1, config.lambda2)
+                ad.backward(loss)
+                opt.step(step / total)
+                if not config.freeze_prototypes:
+                    ssl_swap.prototype_normalize(tgt.prototypes)
+                for name, t in (("swap", swap), ("dal", dal), ("ent", ent),
+                                ("vat", vat), ("total", loss)):
+                    sums[name] += t.item()
+                step += 1
+            s_acc, t_acc = evaluator(tgt) if evaluator else (-1.0, -1.0)
+            records.append(MetricsRecord(
+                stage=stage, epoch=epoch,
+                **{name: v / per_epoch for name, v in sums.items()},
+                coreset_size=core_x.shape[0], source_probe_acc=s_acc,
+                target_acc=t_acc))
+    except NumericError as exc:
+        raise _diverged(exc, "adaptation", stage, epoch, step)
+    return records
+
 
 def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
           target_x: np.ndarray, source_x: np.ndarray | None = None,
@@ -698,11 +782,12 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
           ) -> tuple[models.Checkpoint, active.CoreSet, list[MetricsRecord]]:
     """Runs the n_cycles - 1 active adaptation stages from a source checkpoint.
 
-    Per cycle: score the remaining pool, partition by score, move the top-k
-    of the first batch into the core-set, train the target model on core-set
-    minibatches with the combined objective, then retrain the rotation model
-    on core-set rotations. The source model stays frozen throughout and only
-    supplies detached embeddings to the domain adversarial loss. source_x is
+    Each cycle acquires (scores the remaining pool, partitions it by score
+    and moves the top-k of its batch into the core-set), trains the target
+    model on the core-set, retrains the rotation model on core-set
+    rotations, and keeps the cycle's model once it embeds the target pool
+    finitely. The source model stays frozen throughout and only supplies
+    detached embeddings to the domain adversarial loss. source_x is
     optional and only enriches the per-cycle embedding dumps.
 
     Returns the final checkpoint, the finished core-set, and per-epoch
@@ -710,14 +795,11 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     """
     x_t = np.asarray(target_x, dtype=np.float64)
     _check_input_matrix(x_t, config, "target_x")
-    n_pool = x_t.shape[0]
     n_stages = config.n_cycles - 1
-    if config.budget_total > n_pool:
+    if config.budget_total > x_t.shape[0]:
         raise ConfigError(
             f"budget_total {config.budget_total} exceeds target pool size "
-            f"{n_pool}")
-    k_cycle = config.budget_total // n_stages
-
+            f"{x_t.shape[0]}")
     src = source_ckpt.models()
     _check_compat(src, config, x_t)
     fp = config_fingerprint(config)
@@ -726,31 +808,14 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     tgt.rotation = models.init_rotation_classifier(
         np.random.default_rng(_draw_seed(seeder)), src.encoder,
         config.dropout_rate)
-
-    use_dal = config.loss_variant in ("consolidated", "dal_vat")
-    use_vat = use_dal
-    use_ent = config.loss_variant in ("consolidated", "entropy")
-    trained = ("encoder.", "domain.") if config.freeze_prototypes \
-        else ("encoder.", "prototypes.", "domain.")
-
-    out_path: Path | None = None
     if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     core = active.CoreSet(budget_total=config.budget_total)
-    remaining = list(range(n_pool))
-    static_partition: active.PoolPartition | None = None
-    static_map: dict[int, active.AcquisitionRecord] = {}
+    remaining = list(range(x_t.shape[0]))
     records: list[MetricsRecord] = []
     last_good: models.Checkpoint | None = None
-
-    def fn(x: Tensor) -> Tensor:  # the target model's prototype distribution
-        z = models.encode(tgt.encoder, x, normalize=True)
-        return ad.softmax(models.prototype_scores(z, tgt.prototypes,
-                                                  config.tau), axis=1)
-
-    stage = epoch = cycle_step = 0
+    stage = epoch = step = 0
     try:
         last_good = _finite_checkpoint(tgt, fp, 0)
         # Initial pretext fit on the full pool so stage-0 uncertainty scores
@@ -758,110 +823,44 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
         _train_rotation(config, tgt, x_t, seeder, stage)
 
         for cyc in range(n_stages):
-            stage, epoch, cycle_step = cyc + 1, 0, 0
+            stage, epoch, step = cyc + 1, 0, 0
             if cyc > 0 and not config.warm_start:
-                fresh = source_ckpt.models()
-                tgt.encoder = fresh.encoder
-                tgt.prototypes = fresh.prototypes
-                tgt.domain = fresh.domain
+                tgt = dataclasses.replace(source_ckpt.models(),
+                                          rotation=tgt.rotation)
 
-            # acquisition
-            if config.rescore_each_cycle:
-                recs = _score_indices(config, tgt, x_t, remaining, seeder)
-                rec_map = {r.sample_index: r for r in recs}
-                batch_ids = active.partition_pool(recs,
-                                                  n_stages - cyc).batches[0]
-            else:
-                if cyc == 0:
-                    recs = _score_indices(config, tgt, x_t, remaining, seeder)
-                    static_map = {r.sample_index: r for r in recs}
-                    static_partition = active.partition_pool(recs, n_stages)
-                rec_map = static_map
-                batch_ids = static_partition.batches[cyc]
-            core = active.select_topk([rec_map[i] for i in batch_ids], core,
-                                      k_cycle)
+            # 1. acquire: a static partition is scored once, on the first
+            # cycle, and hands out its batches in order
+            if config.rescore_each_cycle or cyc == 0:
+                scored = _score_indices(config, tgt, x_t, remaining, seeder)
+                by_index = {r.sample_index: r for r in scored}
+                partition = active.partition_pool(scored, n_stages - cyc)
+            batch = partition.batches[0 if config.rescore_each_cycle else cyc]
+            core = active.select_topk([by_index[i] for i in batch], core,
+                                      config.budget_total // n_stages)
             core = dataclasses.replace(core, stage=stage)
             selected = set(core.selected)
             remaining = [i for i in remaining if i not in selected]
-
-            # target-model training on the accumulated core-set
             core_x = x_t[np.asarray(core.selected, dtype=np.int64)]
-            # the source model is frozen: embed the core-set once per cycle
-            z_src_core = _embed(src.encoder, core_x) if use_dal else None
-            opt = Sgd(models.param_group(tgt, *trained), config.target_lr,
-                      "cosine", config.momentum, config.weight_decay)
-            # The schedule restarts each cycle so the growing core-set always
-            # gets a full annealing sweep; the last (largest) cycle dominates.
-            cycle_total = max(1, config.target_epochs
-                              * _steps_per_epoch(core_x.shape[0],
-                                                 config.batch_size,
-                                                 config.min_batch))
-            for epoch in range(config.target_epochs):
-                sums = {"swap": 0.0, "dal": 0.0, "ent": 0.0, "vat": 0.0,
-                        "total": 0.0}
-                n_steps = 0
-                for chunk in _minibatches(core_x.shape[0], config.batch_size,
-                                          seeder, config.min_batch):
-                    xb = core_x[chunk]
-                    va, vb = data.augment_two_views(xb, _draw_seed(seeder))
-                    vat_seed = _draw_seed(seeder)
-                    z_a = models.encode(tgt.encoder, va, normalize=True)
-                    z_b = models.encode(tgt.encoder, vb, normalize=True)
-                    swap = ssl_swap.swap_loss(z_a, z_b, tgt.prototypes,
-                                              config.tau,
-                                              config.sinkhorn_epsilon,
-                                              config.sinkhorn_iters)
-                    ent = vat = dal = Tensor(0.0)
-                    # the one clean pass of the step: entropy differentiates
-                    # it, VAT holds its values fixed
-                    probs = fn(Tensor(xb))
-                    if use_ent:
-                        ent = alignment.entropy_loss(probs)
-                    if use_vat:
-                        r_adv = alignment.vat_perturbation(
-                            fn, xb, probs.data, config.vat_xi,
-                            config.vat_eps_radius, config.vat_power_iters,
-                            vat_seed)
-                        vat = alignment.vat_loss(fn, xb, probs.data, r_adv)
-                    if use_dal:
-                        z_tgt = models.encode(tgt.encoder, xb, normalize=True)
-                        dal = alignment.dal_loss(
-                            tgt.domain, Tensor(z_src_core[chunk]), z_tgt,
-                            config.grl_lambda)
-                    loss = alignment.total_loss(swap, dal, ent, vat,
-                                                config.lambda1, config.lambda2)
-                    ad.backward(loss)
-                    opt.step(cycle_step / cycle_total)
-                    if not config.freeze_prototypes:
-                        ssl_swap.prototype_normalize(tgt.prototypes)
-                    sums["swap"] += swap.item()
-                    sums["dal"] += dal.item()
-                    sums["ent"] += ent.item()
-                    sums["vat"] += vat.item()
-                    sums["total"] += loss.item()
-                    n_steps += 1
-                    cycle_step += 1
-                means = {k: (v / n_steps if n_steps else 0.0)
-                         for k, v in sums.items()}
-                s_acc, t_acc = evaluator(tgt) if evaluator else (-1.0, -1.0)
-                records.append(MetricsRecord(
-                    stage=stage, epoch=epoch, swap=means["swap"],
-                    dal=means["dal"], ent=means["ent"], vat=means["vat"],
-                    total=means["total"], coreset_size=core.budget_used,
-                    source_probe_acc=s_acc, target_acc=t_acc))
 
-            # rotation-model retraining on the core-set
+            # 2. train the target model on the accumulated core-set; a later
+            # failure is placed after the cycle's last step
+            records += _train_target(config, tgt, src, core_x, seeder, stage,
+                                     evaluator)
+            epoch = max(config.target_epochs - 1, 0)
+            step = config.target_epochs * _steps_per_epoch(
+                core_x.shape[0], config.batch_size, config.min_batch)
+
+            # 3. retrain the rotation model on the core-set
             _train_rotation(config, tgt, core_x, seeder, stage)
 
-            # the cycle's model is the last good one only once it embeds
-            # the target pool finitely
+            # 4. keep: the cycle's model is the last good one only once it
+            # embeds the target pool finitely
             ckpt = _finite_checkpoint(tgt, fp, stage)
-            if out_path is not None:
-                dump_embeddings(out_path / f"embeds_stage{stage}.bin", tgt,
-                                source_x, x_t)
-            else:
-                _finite_target_embeddings(tgt.encoder, x_t)
+            z_t = _finite_target_embeddings(tgt.encoder, x_t)
+            if out_dir is not None:
+                dump_embeddings(Path(out_dir) / f"embeds_stage{stage}.bin",
+                                tgt.encoder, source_x, z_t)
             last_good = ckpt
     except NumericError as exc:
-        raise _diverged(exc, "adaptation", stage, epoch, cycle_step, last_good)
+        raise _diverged(exc, "adaptation", stage, epoch, step, last_good)
     return last_good, core, records

@@ -28,7 +28,7 @@ class CodeMatrix:
     iters: int
 
 
-def sinkhorn_codes(scores, epsilon: float = 0.05, iters: int = 3,
+def sinkhorn_codes(scores, epsilon: float, iters: int,
                    tol: float | None = None) -> CodeMatrix:
     """Balanced soft assignments from a B x K score matrix.
 
@@ -90,8 +90,8 @@ def swap_loss_given_codes(z_a: Tensor, z_b: Tensor, protos: Prototypes,
                   _cross_entropy_vs_codes(scores_b, q_a))
 
 
-def swap_loss(z_a: Tensor, z_b: Tensor, protos: Prototypes, tau: float = 0.1,
-              epsilon: float = 0.05, iters: int = 3) -> Tensor:
+def swap_loss(z_a: Tensor, z_b: Tensor, protos: Prototypes, tau: float,
+              epsilon: float, iters: int) -> Tensor:
     """Each view predicts the other view's Sinkhorn codes.
 
     Codes are computed from the raw (unscaled) prototype dot products; the

@@ -187,8 +187,8 @@ class TestMcDropout:
 
     def test_default_shape_equals_per_pass_reference(self):
         rng = np.random.default_rng(41)
-        rot = init_rotation_classifier(rng, init_encoder(rng, 256),
-                                       dropout_rate=0.25)
+        trunk = init_encoder(rng, 256, (128, 128), 32)
+        rot = init_rotation_classifier(rng, trunk, dropout_rate=0.25)
         x = rng.random((300, 256))
         assert np.array_equal(ac.mc_dropout_probs(rot, x, 16, seed=5),
                               mc_dropout_reference(rot, x, 16, seed=5))

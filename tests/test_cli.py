@@ -143,6 +143,28 @@ class TestExitCodes:
         assert proc.stderr == "error: tau must be finite, got inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["pretrain", "--samples-per-class", "1"],
+         "error: source_x has 10 rows, fewer than the max(2, k_prototypes) "
+         "= 16 of one training step\n"),
+        (["adapt", "--samples-per-class", "8", "--budget-total", "30",
+          "--n-cycles", "4", "--kmeans-k", "4", "--t-passes", "2",
+          "--pretrain-epochs", "1", "--target-epochs", "1",
+          "--rotation-epochs", "1"],
+         "error: budget_total 30 gives 10 samples per cycle, fewer than "
+         "max(2, k_prototypes) = 16\n"),
+    ], ids=["pretrain_10_rows", "adapt_10_row_cycle"])
+    def test_phase_without_a_step_refused_before_any_work(
+            self, workdir, tmp_path, argv, message):
+        out = tmp_path / "run"
+        if argv[0] == "adapt":
+            argv = argv + ["--source-ckpt", str(workdir / "source_ckpt.bin")]
+        proc = run_cli(argv + ["--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr == message
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_numeric_abort_saves_last_good(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
             rc = cli.main(["pretrain", "--out", str(tmp_path),
@@ -223,8 +245,10 @@ class TestMalformedCheckpoints:
             {"prototypes.vectors": t["prototypes.vectors"].reshape(-1)})),
         ("domain.fc.weight",
          lambda t: t.update({"domain.fc.weight": np.zeros((64, 5))})),
+        ("domain.fc.bias", lambda t: t.pop("domain.fc.bias")),
     ], ids=["dropout_rate_2_elements", "dropout_rate_missing",
-            "prototypes_1d", "domain_fc_weight_64x5"])
+            "prototypes_1d", "domain_fc_weight_64x5",
+            "domain_fc_bias_missing"])
     def test_eval_and_adapt_exit_2_naming_the_tensor(self, workdir, tmp_path,
                                                      name, edit):
         tensors = tensors_in(workdir / "source_ckpt.bin")
@@ -232,9 +256,10 @@ class TestMalformedCheckpoints:
         path = tmp_path / "malformed.bin"
         models.save_checkpoint(path, models.Checkpoint(tensors))
         bundle = ["--bundle", str(workdir / "bundle.bin")] + TINY
+        out = tmp_path / "adapted"
         for argv in (["eval", "--ckpt", str(path)],
                      ["adapt", "--source-ckpt", str(path), "--out",
-                      str(tmp_path / "adapted")]):
+                      str(out)]):
             proc = run_cli(argv + bundle)
             assert proc.returncode == 2
             lines = proc.stderr.splitlines()
@@ -242,6 +267,7 @@ class TestMalformedCheckpoints:
                 proc.stderr
             assert f"'{name}'" in lines[0]
             assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestDivergenceStderr:
@@ -256,11 +282,12 @@ class TestDivergenceStderr:
         assert lines[1] == f"last finite checkpoint saved to {saved}"
 
     def test_pretrain(self, tmp_path):
-        proc = run_cli(["pretrain", "--out", str(tmp_path),
+        # the output directory is made only to hold the saved checkpoint
+        out = tmp_path / "run"
+        proc = run_cli(["pretrain", "--out", str(out),
                         "--samples-per-class", "4", "--pretrain-epochs", "3",
                         "--ssl-lr", "1.7e308"], warnings="default")
-        self.assert_two_lines(proc, "pretraining",
-                              tmp_path / "source_ckpt.bin")
+        self.assert_two_lines(proc, "pretraining", out / "source_ckpt.bin")
 
     def test_adapt(self, workdir, tmp_path):
         proc = run_cli(["adapt", "--source-ckpt",
@@ -275,7 +302,7 @@ class TestDivergenceStderr:
         # overflows; that model must not become the last good one
         flags = ["--samples-per-class", "8", "--pretrain-epochs", "1",
                  "--target-epochs", "1", "--rotation-epochs", "1",
-                 "--budget-total", "30", "--n-cycles", "4", "--kmeans-k", "4",
+                 "--budget-total", "48", "--n-cycles", "4", "--kmeans-k", "4",
                  "--t-passes", "2"]
         assert run_cli(["pretrain", "--out", str(tmp_path)]
                        + flags).returncode == 0

@@ -108,6 +108,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             pipeline.RunConfig(budget_total=100, n_cycles=4)
 
+    @pytest.mark.parametrize("budget_total,n_cycles,k_prototypes", [
+        (30, 4, 16), (45, 4, 16), (9, 4, 4), (2, 3, 2)])
+    def test_rejects_cycle_budget_below_min_batch(self, budget_total,
+                                                  n_cycles, k_prototypes):
+        # the first cycle's core-set must fill one training step
+        kw = dict(n_cycles=n_cycles, k_prototypes=k_prototypes)
+        with pytest.raises(ConfigError, match="^budget_total "):
+            pipeline.RunConfig(budget_total=budget_total, **kw)
+        cfg = pipeline.RunConfig(
+            budget_total=max(2, k_prototypes) * (n_cycles - 1), **kw)
+        assert cfg.budget_total // (cfg.n_cycles - 1) == cfg.min_batch
+
     def test_rejects_unknown_variants(self):
         with pytest.raises(ConfigError):
             pipeline.RunConfig(acquisition="oracle")
@@ -161,6 +173,30 @@ class TestRunConfig:
         for fn in (pipeline.pretrain_source, pipeline.adapt):
             names = set(inspect.signature(fn).parameters)
             assert not any("_y" in n or "label" in n for n in names)
+
+
+class TestInputMatrix:
+    @pytest.mark.parametrize("k_prototypes", [2, 16])
+    def test_rejects_fewer_rows_than_one_step(self, k_prototypes):
+        cfg = pipeline.RunConfig(k_prototypes=k_prototypes)
+        for rows in (0, cfg.min_batch - 1):
+            with pytest.raises(ConfigError,
+                               match=f"^source_x has {rows} rows, fewer "):
+                pipeline._check_input_matrix(np.zeros((rows, cfg.in_dim)),
+                                             cfg, "source_x")
+        pipeline._check_input_matrix(np.zeros((cfg.min_batch, cfg.in_dim)),
+                                     cfg, "source_x")
+
+    def test_pretrain_and_adapt_refuse_before_any_work(self):
+        cfg = small_config()
+        bundle = make_bundle(cfg)
+        few = bundle.source_x[:cfg.min_batch - 1]
+        with pytest.raises(ConfigError, match="^source_x has 15 rows"):
+            pipeline.pretrain_source(cfg, few)
+        ckpt, _ = pipeline.pretrain_source(
+            dataclasses.replace(cfg, pretrain_epochs=0), bundle.source_x)
+        with pytest.raises(ConfigError, match="^target_x has 15 rows"):
+            pipeline.adapt(cfg, ckpt, few)
 
 
 class TestConfigFiles:
@@ -536,11 +572,11 @@ class TestAdapt:
         assert not hasattr(info.value, "last_good")
 
     def test_overflowing_forward_pass_is_divergence(self):
-        # finite weights near 1e308 after stage 2's one step; without an
+        # finite weights near 1e308 after stage 1's one step; without an
         # out_dir adapt still embeds the pool before keeping the model
         cfg = small_config(samples_per_class=8, pretrain_epochs=1,
                            target_epochs=1, rotation_epochs=1,
-                           budget_total=30, kmeans_k=4, t_passes=2,
+                           budget_total=48, kmeans_k=4, t_passes=2,
                            target_lr=1.7e308)
         bundle = make_bundle(cfg)
         ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
@@ -548,9 +584,9 @@ class TestAdapt:
             with pytest.raises(NumericError,
                                match="non-finite embedding of target") as info:
                 pipeline.adapt(cfg, ckpt, bundle.target_x)
-        assert info.value.where[:2] == ("adaptation", 2)
+        assert info.value.where == ("adaptation", 1, 0, 1)
         last_good = info.value.last_good
-        assert last_good.stage == 1
+        assert last_good.stage == 0
         z = models.encode(last_good.models().encoder, bundle.target_x)
         assert np.all(np.isfinite(z.data))
 

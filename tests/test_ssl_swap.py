@@ -67,17 +67,17 @@ class TestSinkhornCodes:
     def test_error_paths(self):
         good = np.ones((4, 2))
         with pytest.raises(ConfigError):
-            ssl.sinkhorn_codes(good, epsilon=0.0)
+            ssl.sinkhorn_codes(good, epsilon=0.0, iters=3)
         with pytest.raises(ConfigError):
-            ssl.sinkhorn_codes(good, iters=0)
+            ssl.sinkhorn_codes(good, epsilon=0.05, iters=0)
         with pytest.raises(NumericError):
-            ssl.sinkhorn_codes(np.array([[np.nan, 1.0]]))
+            ssl.sinkhorn_codes(np.array([[np.nan, 1.0]]), 0.05, 3)
         with pytest.raises(ShapeError):
-            ssl.sinkhorn_codes(np.ones(4))
+            ssl.sinkhorn_codes(np.ones(4), 0.05, 3)
 
     def test_small_batch_warns(self):
         with pytest.warns(UserWarning, match="batch size"):
-            ssl.sinkhorn_codes(np.ones((2, 5)))
+            ssl.sinkhorn_codes(np.ones((2, 5)), 0.05, 3)
 
 
 class TestSwapLoss:
@@ -90,14 +90,14 @@ class TestSwapLoss:
 
     def test_symmetry_is_exact(self):
         _, z_a, z_b, protos = self.make_instance(0)
-        l_ab = ssl.swap_loss(z_a, z_b, protos).item()
-        l_ba = ssl.swap_loss(z_b, z_a, protos).item()
+        l_ab = ssl.swap_loss(z_a, z_b, protos, 0.1, 0.05, 3).item()
+        l_ba = ssl.swap_loss(z_b, z_a, protos, 0.1, 0.05, 3).item()
         assert l_ab == l_ba
 
     def test_identical_views_give_twice_self_cross_entropy(self):
         _, z_a, _, protos = self.make_instance(1)
         tau = 0.1
-        loss = ssl.swap_loss(z_a, z_a, protos, tau=tau).item()
+        loss = ssl.swap_loss(z_a, z_a, protos, tau, 0.05, 3).item()
         dots = z_a.data @ protos.vectors.data.T
         q = ssl.sinkhorn_codes(dots, 0.05, 3).q
         scores = dots / tau
@@ -128,7 +128,7 @@ class TestSwapLoss:
         q_a = ssl.sinkhorn_codes(z_a.data @ protos.vectors.data.T, 0.05, 3).q
         q_b = ssl.sinkhorn_codes(z_b.data @ protos.vectors.data.T, 0.05, 3).q
         direct = ssl.swap_loss_given_codes(z_a, z_b, protos, 0.1, q_a, q_b).item()
-        assert ssl.swap_loss(z_a, z_b, protos).item() == direct
+        assert ssl.swap_loss(z_a, z_b, protos, 0.1, 0.05, 3).item() == direct
 
     def test_per_sample_loss_at_least_code_entropy(self):
         for seed in range(5):
@@ -145,9 +145,9 @@ class TestSwapLoss:
     def test_batch_permutation_invariance(self):
         rng, z_a, z_b, protos = self.make_instance(4)
         perm = rng.permutation(8)
-        base = ssl.swap_loss(z_a, z_b, protos).item()
+        base = ssl.swap_loss(z_a, z_b, protos, 0.1, 0.05, 3).item()
         permuted = ssl.swap_loss(Tensor(z_a.data[perm]), Tensor(z_b.data[perm]),
-                                 protos).item()
+                                 protos, 0.1, 0.05, 3).item()
         assert permuted == pytest.approx(base, rel=1e-10)
 
     def test_batch_mismatch_raises(self):
@@ -155,7 +155,7 @@ class TestSwapLoss:
         protos = Prototypes(Tensor(unit_rows(rng, (4, 6))))
         with pytest.raises(ShapeError):
             ssl.swap_loss(Tensor(unit_rows(rng, (8, 6))),
-                          Tensor(unit_rows(rng, (7, 6))), protos)
+                          Tensor(unit_rows(rng, (7, 6))), protos, 0.1, 0.05, 3)
 
     def test_gradient_matches_finite_differences_with_codes_fixed(self):
         for seed in range(5):
