@@ -1,17 +1,19 @@
-"""Acquisition: MC-dropout uncertainty, k-means diversity, hybrid scoring,
-pool partitioning, and iterative core-set construction.
+"""Acquisition: MC-dropout uncertainty, k-means diversity, the ranking of
+the pool, and the core-set that the ranking fills.
 
 Higher combined score means more desirable: high diversity (distance to the
 nearest feature-space centroid) and low uncertainty (BALD mutual
-information from the rotation model's dropout posterior). The pool is
-sorted once per cycle, split into batches of near-equal size, and the
-top-k of the current batch joins the core-set.
+information from the rotation model's dropout posterior). `rank_pool`
+orders the pool indices best first. When the pool is rescored every cycle,
+the first k of the ranking join the core-set; only a static partition
+splits its one ranking into batches of near-equal size, larger batches
+first, and takes the first k of each cycle's batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,49 +24,20 @@ from .errors import BudgetError, ConfigError, ContractError, ShapeError
 
 
 @dataclass
-class AcquisitionRecord:
-    """Per-sample scoring row: pool index, uncertainty, diversity, score."""
-
-    sample_index: int
-    uncertainty: float
-    diversity: float
-    a3_score: float
-
-    def __post_init__(self) -> None:
-        if self.uncertainty < 0:
-            raise ContractError(
-                f"uncertainty must be >= 0, got {self.uncertainty}")
-        if self.diversity < 0:
-            raise ContractError(f"diversity must be >= 0, got {self.diversity}")
-
-
-@dataclass
 class CoreSet:
     """Ordered unique pool indices accumulated across cycles."""
 
-    selected: list[int] = field(default_factory=list)
-    budget_total: int = 0
-    budget_used: int = 0
-    stage: int = 0
+    selected: list[int]
+    budget_total: int
+    stage: int
 
     def __post_init__(self) -> None:
         if len(set(self.selected)) != len(self.selected):
             raise ContractError("core-set contains duplicate indices")
-        if self.budget_used != len(self.selected):
-            raise ContractError(
-                f"budget_used {self.budget_used} != selected count "
-                f"{len(self.selected)}")
-        if self.budget_used > self.budget_total:
+        if len(self.selected) > self.budget_total:
             raise BudgetError(
-                f"budget_used {self.budget_used} exceeds budget_total "
-                f"{self.budget_total}")
-
-
-@dataclass
-class PoolPartition:
-    """Index batches covering the pool once, in descending score order."""
-
-    batches: list[list[int]]
+                f"core-set of {len(self.selected)} indices exceeds "
+                f"budget_total {self.budget_total}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +127,7 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return best
 
 
-def kmeans(embeddings: np.ndarray, k: int, max_iter: int = 100, seed: int = 0):
+def kmeans(embeddings: np.ndarray, k: int, seed: int, max_iter: int = 100):
     """Lloyd's algorithm with seeded k-means++ initialization.
 
     Returns (centroids k x p, assignment of length N, inertia). Empty
@@ -200,90 +173,41 @@ def diversity_distances(embeddings: np.ndarray, centroids: np.ndarray) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Scoring and selection
+# Ranking
 # ---------------------------------------------------------------------------
-
-def a3_score(uncertainty: float, diversity: float, beta: float) -> float:
-    """Combined ranking key: diversity - beta * uncertainty, higher better."""
-    return diversity - beta * uncertainty
-
 
 SCORING_MODES = ("hybrid", "uncertainty", "random")
 
 
-def score_pool(indices, uncertainties, diversities, mode: str = "hybrid",
-               beta: float = 1.0, seed: int = 0) -> list[AcquisitionRecord]:
-    """One AcquisitionRecord per pool sample under the chosen ranking mode.
+def rank_pool(indices, uncertainties, diversities, mode: str, beta: float,
+              seed: int) -> np.ndarray:
+    """Pool indices best first under the chosen scoring mode, ties broken by
+    ascending index.
 
-    hybrid ranks by diversity - beta * uncertainty, uncertainty ranks by
-    -uncertainty alone (least uncertain first), random assigns seeded
-    uniform scores; uncertainty and diversity are logged truthfully in all
-    modes.
+    hybrid scores diversity - beta * uncertainty, uncertainty scores
+    -uncertainty alone (least uncertain first), random draws seeded uniform
+    scores; higher scores rank first.
     """
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}; expected one of "
                           f"{', '.join(SCORING_MODES)}")
     if not (math.isfinite(beta) and beta >= 0):
         raise ConfigError(f"beta must be finite and >= 0, got {beta}")
-    indices = list(indices)
+    idx = np.asarray(indices, dtype=np.int64)
     u = np.asarray(uncertainties, dtype=np.float64)
     d = np.asarray(diversities, dtype=np.float64)
-    if not (len(indices) == u.shape[0] == d.shape[0]):
-        raise ShapeError("indices, uncertainties, diversities disagree in length")
+    if not (idx.ndim == 1 and idx.shape == u.shape == d.shape):
+        raise ShapeError("indices, uncertainties, diversities must be "
+                         "vectors of one length")
+    if (u < 0).any() or (d < 0).any():
+        raise ContractError("uncertainties and diversities must be >= 0")
     if mode == "hybrid":
-        scores = [a3_score(float(ui), float(di), beta) for ui, di in zip(u, d)]
+        scores = d - beta * u
     elif mode == "uncertainty":
-        scores = [-float(ui) for ui in u]
+        scores = -u
     else:
-        scores = list(np.random.default_rng(seed).random(len(indices)))
-    return [AcquisitionRecord(int(i), float(ui), float(di), s)
-            for i, ui, di, s in zip(indices, u, d, scores)]
-
-
-def partition_pool(records: list[AcquisitionRecord], n: int) -> PoolPartition:
-    """Sort by descending score (ties by index) and split into n batches.
-
-    Batch sizes differ by at most one, larger batches first.
-    """
-    if not records:
-        raise ContractError("partition_pool requires a nonempty record list")
-    if n < 1:
-        raise ConfigError(f"partition count must be >= 1, got {n}")
-    if n > len(records):
-        raise ConfigError(
-            f"partition count {n} exceeds pool size {len(records)}")
-    ordered = sorted(records, key=lambda r: (-r.a3_score, r.sample_index))
-    base, extra = divmod(len(ordered), n)
-    batches = []
-    at = 0
-    for j in range(n):
-        size = base + (1 if j < extra else 0)
-        batches.append([r.sample_index for r in ordered[at:at + size]])
-        at += size
-    return PoolPartition(batches)
-
-
-def select_topk(batch_records: list[AcquisitionRecord], core: CoreSet,
-                k: int) -> CoreSet:
-    """New CoreSet with the k best-scored batch samples appended."""
-    if k < 0 or k > len(batch_records):
-        raise ContractError(
-            f"select_topk k={k} outside [0, batch size {len(batch_records)}]")
-    if core.budget_used + k > core.budget_total:
-        raise BudgetError(
-            f"selecting {k} samples would exceed budget "
-            f"{core.budget_total} (used {core.budget_used})")
-    taken = set(core.selected)
-    overlap = [r.sample_index for r in batch_records if r.sample_index in taken]
-    if overlap:
-        raise ContractError(
-            f"batch indices already in the core-set: {overlap[:5]}")
-    ranked = sorted(batch_records, key=lambda r: (-r.a3_score, r.sample_index))
-    new_indices = [r.sample_index for r in ranked[:k]]
-    return CoreSet(selected=core.selected + new_indices,
-                   budget_total=core.budget_total,
-                   budget_used=core.budget_used + k,
-                   stage=core.stage)
+        scores = np.random.default_rng(seed).random(idx.shape[0])
+    return idx[np.lexsort((idx, -scores))]
 
 
 # ---------------------------------------------------------------------------

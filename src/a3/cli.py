@@ -129,7 +129,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     active.save_coreset(out / "coreset.txt", core)
     pipeline.write_metrics(out / "metrics_adapt.jsonl", records)
     print(f"wrote {out / TARGET_CKPT_NAME} "
-          f"(core-set {core.budget_used}/{core.budget_total})")
+          f"(core-set {len(core.selected)}/{core.budget_total})")
     _print_accs(pipeline.evaluate(ckpt, bundle))
     return 0
 
@@ -153,11 +153,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
                 f"unknown variant {name!r}; choose from "
                 f"{', '.join(sorted(ABLATION_VARIANTS))}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bundle = _load_or_make_bundle(args, config)
 
     # one shared source checkpoint keeps the comparison apples-to-apples
-    ckpt, _ = pipeline.pretrain_source(config, bundle.source_x)
+    try:
+        ckpt, _ = pipeline.pretrain_source(config, bundle.source_x)
+    except NumericError as exc:
+        return _numeric_abort(exc, out / "last_good_source.bin")
     base = pipeline.evaluate(ckpt, bundle)
     print(f"{'variant':<14} {'target_acc':>10} {'gain':>8}")
     print(f"{'source-only':<14} {base['target_acc']:>10.4f} {'':>8}")
@@ -167,6 +169,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             adapted, _, records = pipeline.adapt(vcfg, ckpt, bundle.target_x)
         except NumericError as exc:
             return _numeric_abort(exc, out / f"last_good_{name}.bin")
+        out.mkdir(parents=True, exist_ok=True)
         pipeline.write_metrics(out / f"metrics_{name}.jsonl", records)
         accs = pipeline.evaluate(adapted, bundle)
         gain = accs["target_acc"] - base["target_acc"]

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,10 @@ from .errors import ConfigError, ContractError, FormatError
 class ShiftSpec:
     """Target-domain corruption parameters."""
 
-    intensity_scale: float = 0.7
-    noise_sigma: float = 0.15
-    translation_px: int = 2
-    contrast_gamma: float = 1.5
+    intensity_scale: float
+    noise_sigma: float
+    translation_px: int
+    contrast_gamma: float
 
     def __post_init__(self) -> None:
         for name in ("intensity_scale", "noise_sigma", "contrast_gamma"):
@@ -49,11 +49,11 @@ class ShiftSpec:
 class DomainSpec:
     """Dataset geometry, shift parameters, and the generation seed."""
 
-    n_classes: int = 10
-    samples_per_class: int = 100
-    image_side: int = 16
-    shift: ShiftSpec = field(default_factory=ShiftSpec)
-    seed: int = 0
+    n_classes: int
+    samples_per_class: int
+    image_side: int
+    shift: ShiftSpec
+    seed: int
 
     def __post_init__(self) -> None:
         if self.image_side < 8:

@@ -5,9 +5,9 @@ Stage 0 trains encoder and prototypes on the source domain with the swap
 prediction loss alone. Each of the remaining n_cycles - 1 stages scores the
 unlabeled target pool (mutual information from the dropout-sampled rotation
 model plus cluster-distance diversity on current embeddings), moves the
-top-k of the next pool batch into the core-set, trains the target model on
-the core-set with the combined objective, and retrains the rotation model
-on rotations of the core-set.
+best-ranked rows into the core-set, trains the target model on the
+core-set with the combined objective, and retrains the rotation model on
+rotations of the core-set.
 
 Only the evaluator ever sees target labels: ``pretrain_source`` and
 ``adapt`` accept raw sample matrices and an optional accuracy callback, so
@@ -219,6 +219,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown loss_variant {self.loss_variant!r}; expected one of "
                 f"{', '.join(LOSS_VARIANTS)}")
+        self.domain_spec()  # the data settings must make a valid dataset
 
     @property
     def min_batch(self) -> int:
@@ -651,7 +652,8 @@ def _train_rotation(config: RunConfig, mp: models.ModelParams,
 
 def _score_indices(config: RunConfig, mp: models.ModelParams,
                    x_t: np.ndarray, indices: list[int],
-                   seeder: np.random.Generator) -> list[active.AcquisitionRecord]:
+                   seeder: np.random.Generator) -> np.ndarray:
+    """The given pool indices ranked best first under config.acquisition."""
     idx = np.asarray(indices, dtype=np.int64)
     xs = x_t[idx]
     seed_mc = _draw_seed(seeder)
@@ -661,11 +663,11 @@ def _score_indices(config: RunConfig, mp: models.ModelParams,
     unc = [active.bald_mutual_info(stack[i]) for i in range(idx.shape[0])]
     emb = _embed(mp.encoder, xs)
     k = min(config.kmeans_k, idx.shape[0])
-    centroids, _, _ = active.kmeans(emb, k, config.kmeans_max_iter,
-                                    seed=seed_kmeans)
+    centroids, _, _ = active.kmeans(emb, k, seed_kmeans,
+                                    config.kmeans_max_iter)
     div = active.diversity_distances(emb, centroids)
-    return active.score_pool(idx.tolist(), unc, div, config.acquisition,
-                             config.beta, seed_mode)
+    return active.rank_pool(idx, unc, div, config.acquisition, config.beta,
+                            seed_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +784,13 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
           ) -> tuple[models.Checkpoint, active.CoreSet, list[MetricsRecord]]:
     """Runs the n_cycles - 1 active adaptation stages from a source checkpoint.
 
-    Each cycle acquires (scores the remaining pool, partitions it by score
-    and moves the top-k of its batch into the core-set), trains the target
-    model on the core-set, retrains the rotation model on core-set
-    rotations, and keeps the cycle's model once it embeds the target pool
-    finitely. The source model stays frozen throughout and only supplies
-    detached embeddings to the domain adversarial loss. source_x is
-    optional and only enriches the per-cycle embedding dumps.
+    Each cycle acquires (ranks the remaining pool, splits the ranking into
+    batches and moves the first k of its batch into the core-set), trains
+    the target model on the core-set, retrains the rotation model on
+    core-set rotations, and keeps the cycle's model once it embeds the
+    target pool finitely. The source model stays frozen throughout and
+    only supplies detached embeddings to the domain adversarial loss.
+    source_x is optional and only enriches the per-cycle embedding dumps.
 
     Returns the final checkpoint, the finished core-set, and per-epoch
     metrics for every adaptation stage.
@@ -811,7 +813,8 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
-    core = active.CoreSet(budget_total=config.budget_total)
+    per_cycle = config.budget_total // n_stages
+    core = active.CoreSet([], config.budget_total, 0)
     remaining = list(range(x_t.shape[0]))
     records: list[MetricsRecord] = []
     last_good: models.Checkpoint | None = None
@@ -828,16 +831,14 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
                 tgt = dataclasses.replace(source_ckpt.models(),
                                           rotation=tgt.rotation)
 
-            # 1. acquire: a static partition is scored once, on the first
+            # 1. acquire: a static partition is ranked once, on the first
             # cycle, and hands out its batches in order
             if config.rescore_each_cycle or cyc == 0:
-                scored = _score_indices(config, tgt, x_t, remaining, seeder)
-                by_index = {r.sample_index: r for r in scored}
-                partition = active.partition_pool(scored, n_stages - cyc)
-            batch = partition.batches[0 if config.rescore_each_cycle else cyc]
-            core = active.select_topk([by_index[i] for i in batch], core,
-                                      config.budget_total // n_stages)
-            core = dataclasses.replace(core, stage=stage)
+                ranked = _score_indices(config, tgt, x_t, remaining, seeder)
+                batches = np.array_split(ranked, n_stages - cyc)
+            batch = batches[0 if config.rescore_each_cycle else cyc]
+            core = active.CoreSet(core.selected + batch[:per_cycle].tolist(),
+                                  config.budget_total, stage)
             selected = set(core.selected)
             remaining = [i for i in remaining if i not in selected]
             core_x = x_t[np.asarray(core.selected, dtype=np.int64)]

@@ -368,28 +368,23 @@ def test_criterion_5_acquisition():
         emb = models.encode(enc, pool, normalize=True).data
         centroids, _, _ = active.kmeans(emb, 5, seed=3)
         div = active.diversity_distances(emb, centroids)
-        recs = active.score_pool(list(range(40)), unc, div, "hybrid", 1.0,
-                                 seed=11)
-        return recs, active.select_topk(recs,
-                                        active.CoreSet(budget_total=30), 10)
+        ranked = active.rank_pool(range(40), unc, div, "hybrid", 1.0, seed=11)
+        return unc, div, ranked, active.CoreSet(ranked[:10].tolist(), 30, 0)
 
-    r1, c1 = score_once()
-    r2, c2 = score_once()
-    if r1 != r2 or c1 != c2:
+    (u1, d1, r1, c1), (u2, d2, r2, c2) = score_once(), score_once()
+    if (u1.tobytes(), d1.tobytes(), r1.tobytes()) != \
+            (u2.tobytes(), d2.tobytes(), r2.tobytes()) or c1 != c2:
         failures.append("scoring path not bitwise reproducible")
 
-    recs = active.score_pool(list(range(30)), rng.random(30), rng.random(30),
-                             "hybrid", 1.0, seed=0)
-    part = active.partition_pool(recs, 3)
-    by_index = {r.sample_index: r for r in recs}
-    core = active.CoreSet(budget_total=30)
-    for batch in part.batches:
-        core = active.select_topk([by_index[i] for i in batch], core,
-                                  len(batch))
-    if core.budget_used != 30 or sorted(core.selected) != list(range(30)):
+    ranked = active.rank_pool(range(30), rng.random(30), rng.random(30),
+                              "hybrid", 1.0, seed=0)
+    core = active.CoreSet([], 30, 0)
+    for batch in np.array_split(ranked, 3):
+        core = active.CoreSet(core.selected + batch.tolist(), 30, 0)
+    if len(core.selected) != 30 or sorted(core.selected) != list(range(30)):
         failures.append("partition/selection did not conserve the budget")
     try:
-        active.select_topk(recs[:5], core, 1)
+        active.CoreSet(core.selected + [30], 30, 0)
         failures.append("budget overrun not rejected")
     except BudgetError:
         pass
@@ -398,10 +393,8 @@ def test_criterion_5_acquisition():
     unc, div = rng.random(n), rng.random(n)
 
     def ranking(beta):
-        recs = active.score_pool(list(range(n)), unc, div, "hybrid", beta,
-                                 seed=0)
-        return [r.sample_index for r in
-                sorted(recs, key=lambda r: (-r.a3_score, r.sample_index))]
+        return active.rank_pool(range(n), unc, div, "hybrid", beta,
+                                seed=0).tolist()
 
     if ranking(0.0) != [int(i) for i in np.argsort(-div)]:
         failures.append("beta=0 is not the pure-diversity ranking")

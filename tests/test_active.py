@@ -1,4 +1,5 @@
-"""Acquisition scoring, clustering, selection, and the rotation pretext."""
+"""Acquisition scoring, clustering, ranking, the core-set, and the rotation
+pretext."""
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ class TestKmeans:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ContractError):
-            ac.kmeans(np.zeros((3, 2)), k=4)
+            ac.kmeans(np.zeros((3, 2)), k=4, seed=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
@@ -326,150 +327,176 @@ class TestKmeans:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def rank(scores, indices=None):
+    """rank_pool under hybrid scoring with beta 0, where the score of each
+    row is its diversity."""
+    indices = range(len(scores)) if indices is None else indices
+    return ac.rank_pool(indices, np.zeros(len(scores)), scores, "hybrid",
+                        0.0, 0).tolist()
+
+
+def select_reference(indices, scores, n, c, k):
+    """The first k rows of batch c, the plain-Python way: sort the pool by
+    (-score, index), cut it into n batches of near-equal size, larger
+    batches first, sort batch c again by the same key and take its first
+    k."""
+    key = lambda row: (-row[1], row[0])
+    ordered = sorted(zip(indices, scores), key=key)
+    base, extra = divmod(len(ordered), n)
+    at = 0
+    for j in range(c + 1):
+        size = base + (1 if j < extra else 0)
+        batch = ordered[at:at + size]
+        at += size
+    return [i for i, _ in sorted(batch, key=key)[:k]]
+
+
 class TestScoring:
     def test_a3_score_arithmetic(self):
-        assert ac.a3_score(0.5, 2.0, beta=1.0) == pytest.approx(1.5)
+        u = np.array([0.5, 0.0])
+        assert ac.rank_pool([0, 1], u, [2.0, 1.4], "hybrid", 1.0, 0).tolist() \
+            == [0, 1]  # 1.5 > 1.4
+        assert ac.rank_pool([0, 1], u, [2.0, 1.6], "hybrid", 1.0, 0).tolist() \
+            == [1, 0]  # 1.5 < 1.6
 
     def test_beta_zero_is_pure_diversity_ranking(self):
         rng = np.random.default_rng(13)
         u = rng.random(10)
         d = rng.random(10)
-        recs = ac.score_pool(range(10), u, d, mode="hybrid", beta=0.0)
-        order = [r.sample_index for r in
-                 sorted(recs, key=lambda r: (-r.a3_score, r.sample_index))]
-        assert order == list(np.argsort(-d, kind="stable"))
+        order = ac.rank_pool(range(10), u, d, "hybrid", 0.0, 0)
+        assert order.tolist() == list(np.argsort(-d, kind="stable"))
 
     def test_diversity_translation_keeps_ranking(self):
         rng = np.random.default_rng(14)
         u = rng.random(8)
         d = rng.random(8)
-        base = ac.score_pool(range(8), u, d, beta=1.0)
-        moved = ac.score_pool(range(8), u, d + 3.25, beta=1.0)
-        key = lambda recs: [r.sample_index for r in
-                            sorted(recs, key=lambda r: (-r.a3_score,
-                                                        r.sample_index))]
-        assert key(base) == key(moved)
+        base = ac.rank_pool(range(8), u, d, "hybrid", 1.0, 0)
+        moved = ac.rank_pool(range(8), u, d + 3.25, "hybrid", 1.0, 0)
+        assert base.tolist() == moved.tolist()
 
     def test_uncertainty_scaling_with_inverse_beta_keeps_ranking(self):
         rng = np.random.default_rng(15)
         u = rng.random(8)
         d = np.zeros(8)
-        key = lambda recs: [r.sample_index for r in
-                            sorted(recs, key=lambda r: (-r.a3_score,
-                                                        r.sample_index))]
-        base = ac.score_pool(range(8), u, d, beta=2.0)
-        scaled = ac.score_pool(range(8), u * 5.0, d, beta=2.0 / 5.0)
-        assert key(base) == key(scaled)
+        base = ac.rank_pool(range(8), u, d, "hybrid", 2.0, 0)
+        scaled = ac.rank_pool(range(8), u * 5.0, d, "hybrid", 2.0 / 5.0, 0)
+        assert base.tolist() == scaled.tolist()
 
     def test_uncertainty_mode_prefers_least_uncertain(self):
         u = np.array([0.9, 0.1, 0.5])
         d = np.array([0.0, 0.0, 0.0])
-        recs = ac.score_pool(range(3), u, d, mode="uncertainty")
-        order = [r.sample_index for r in
-                 sorted(recs, key=lambda r: (-r.a3_score, r.sample_index))]
-        assert order == [1, 2, 0]
+        order = ac.rank_pool(range(3), u, d, "uncertainty", 1.0, 0)
+        assert order.tolist() == [1, 2, 0]
 
     def test_random_mode_is_seeded(self):
         u = np.zeros(6)
         d = np.zeros(6)
-        a = ac.score_pool(range(6), u, d, mode="random", seed=3)
-        b = ac.score_pool(range(6), u, d, mode="random", seed=3)
-        c = ac.score_pool(range(6), u, d, mode="random", seed=4)
-        assert [r.a3_score for r in a] == [r.a3_score for r in b]
-        assert [r.a3_score for r in a] != [r.a3_score for r in c]
+        a = ac.rank_pool(range(6), u, d, "random", 1.0, 3)
+        b = ac.rank_pool(range(6), u, d, "random", 1.0, 3)
+        c = ac.rank_pool(range(6), u, d, "random", 1.0, 4)
+        want = np.argsort(-np.random.default_rng(3).random(6), kind="stable")
+        assert a.tolist() == b.tolist() == want.tolist()
+        assert a.tolist() != c.tolist()
 
     def test_invalid_mode_and_negative_fields(self):
         with pytest.raises(ConfigError):
-            ac.score_pool([0], [0.0], [0.0], mode="entropy")
+            ac.rank_pool([0], [0.0], [0.0], "entropy", 1.0, 0)
+        with pytest.raises(ConfigError):
+            ac.rank_pool([0], [0.0], [0.0], "hybrid", -1.0, 0)
         with pytest.raises(ContractError):
-            ac.AcquisitionRecord(0, -0.1, 0.0, 0.0)
+            ac.rank_pool([0], [-0.1], [0.0], "hybrid", 1.0, 0)
         with pytest.raises(ContractError):
-            ac.AcquisitionRecord(0, 0.1, -1.0, 0.0)
-
-
-def records_from_scores(scores):
-    return [ac.AcquisitionRecord(i, 0.0, 0.0, s) for i, s in enumerate(scores)]
+            ac.rank_pool([0], [0.1], [-1.0], "hybrid", 1.0, 0)
+        with pytest.raises(ShapeError):
+            ac.rank_pool([0, 1], [0.1], [1.0], "hybrid", 1.0, 0)
 
 
 class TestPartition:
+    """A static partition is np.array_split of one ranking."""
+
     def test_single_batch_is_full_sorted_pool(self):
-        recs = records_from_scores([0.2, 0.9, 0.5])
-        part = ac.partition_pool(recs, n=1)
-        assert part.batches == [[1, 2, 0]]
+        batches = np.array_split(rank([0.2, 0.9, 0.5]), 1)
+        assert [b.tolist() for b in batches] == [[1, 2, 0]]
 
     def test_ten_records_into_four_batches(self):
-        recs = records_from_scores(list(np.linspace(1.0, 0.1, 10)))
-        part = ac.partition_pool(recs, n=4)
-        assert [len(b) for b in part.batches] == [3, 3, 2, 2]
-        flat = [i for b in part.batches for i in b]
-        assert flat == list(range(10))
+        batches = np.array_split(rank(np.linspace(1.0, 0.1, 10)), 4)
+        assert [len(b) for b in batches] == [3, 3, 2, 2]
+        assert np.concatenate(batches).tolist() == list(range(10))
 
     def test_equal_scores_fall_back_to_index_order(self):
-        recs = records_from_scores([0.5] * 7)
-        part = ac.partition_pool(recs, n=3)
-        flat = [i for b in part.batches for i in b]
-        assert flat == list(range(7))
+        assert rank([0.5] * 7, indices=[6, 2, 4, 0, 5, 1, 3]) == list(range(7))
 
     def test_descending_concatenated_order(self):
         rng = np.random.default_rng(16)
-        recs = records_from_scores(list(rng.random(23)))
-        part = ac.partition_pool(recs, n=5)
-        by_index = {r.sample_index: r.a3_score for r in recs}
-        flat_scores = [by_index[i] for b in part.batches for i in b]
-        assert all(a >= b for a, b in zip(flat_scores, flat_scores[1:]))
+        scores = rng.random(23)
+        flat = np.concatenate(np.array_split(rank(scores), 5))
+        assert np.all(np.diff(scores[flat]) <= 0.0)
 
-    def test_oversized_partition_rejected(self):
-        with pytest.raises(ConfigError):
-            ac.partition_pool(records_from_scores([1.0, 2.0]), n=3)
-        with pytest.raises(ContractError):
-            ac.partition_pool([], n=1)
+    @pytest.mark.parametrize("mode", ac.SCORING_MODES)
+    def test_batch_prefix_equals_sort_partition_resort_reference(self, mode):
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            n_pool = int(rng.integers(6, 20))
+            indices = rng.permutation(3 * n_pool)[:n_pool]
+            # a few distinct values, so that many scores tie exactly
+            u = rng.integers(0, 3, n_pool) / 8.0
+            d = rng.integers(0, 4, n_pool) / 4.0
+            if mode == "hybrid":
+                scores = [float(di) - 1.0 * float(ui) for ui, di in zip(u, d)]
+            elif mode == "uncertainty":
+                scores = [-float(ui) for ui in u]
+            else:
+                scores = list(np.random.default_rng(5).random(n_pool))
+            ranked = ac.rank_pool(indices, u, d, mode, 1.0, 5)
+            for n in range(1, 7):
+                batches = np.array_split(ranked, n)
+                for c, batch in enumerate(batches):
+                    for k in range(len(batch) + 1):
+                        assert batch[:k].tolist() == select_reference(
+                            indices.tolist(), scores, n, c, k), (n, c, k)
+
+
+def grow(core, indices):
+    """The core-set with indices appended, as adapt grows it."""
+    return ac.CoreSet(core.selected + list(indices), core.budget_total,
+                      core.stage)
 
 
 class TestSelectTopk:
+    """A cycle appends the first k of its batch to the core-set."""
+
     def test_full_batch_appended_in_score_order(self):
-        recs = records_from_scores([0.1, 0.9, 0.4])
-        core = ac.select_topk(recs, ac.CoreSet(budget_total=10), k=3)
+        core = grow(ac.CoreSet([], 10, 0), rank([0.1, 0.9, 0.4])[:3])
         assert core.selected == [1, 2, 0]
-        assert core.budget_used == 3
 
     def test_k_zero_is_noop(self):
-        recs = records_from_scores([0.3])
-        core = ac.CoreSet(selected=[5], budget_total=4, budget_used=1)
-        out = ac.select_topk(recs, core, k=0)
-        assert out.selected == [5] and out.budget_used == 1
+        core = grow(ac.CoreSet([5], 4, 0), rank([0.3])[:0])
+        assert core.selected == [5]
 
     def test_split_selection_equals_single_call(self):
         rng = np.random.default_rng(17)
-        recs = records_from_scores(list(rng.random(9)))
-        single = ac.select_topk(recs, ac.CoreSet(budget_total=5), k=5)
-        first = ac.select_topk(recs, ac.CoreSet(budget_total=5), k=2)
-        chosen = set(first.selected)
-        remaining = [r for r in recs if r.sample_index not in chosen]
-        both = ac.select_topk(remaining, first, k=3)
+        scores = rng.random(9)
+        single = grow(ac.CoreSet([], 5, 0), rank(scores)[:5])
+        first = grow(ac.CoreSet([], 5, 0), rank(scores)[:2])
+        remaining = [i for i in range(9) if i not in first.selected]
+        both = grow(first, rank(scores[remaining], remaining)[:3])
         assert both.selected == single.selected
 
     def test_budget_exhaustion_raises(self):
-        recs = records_from_scores([0.1, 0.2, 0.3])
-        core = ac.CoreSet(selected=[9, 8], budget_total=3, budget_used=2)
         with pytest.raises(BudgetError):
-            ac.select_topk(recs, core, k=2)
+            grow(ac.CoreSet([9, 8], 3, 0), rank([0.1, 0.2, 0.3])[:2])
 
     def test_duplicate_index_raises(self):
-        recs = records_from_scores([0.1, 0.2])
-        core = ac.CoreSet(selected=[1], budget_total=5, budget_used=1)
         with pytest.raises(ContractError):
-            ac.select_topk(recs, core, k=1)
+            grow(ac.CoreSet([1], 5, 0), rank([0.1, 0.2])[:1])
 
     def test_conservation_over_all_batches(self):
         rng = np.random.default_rng(18)
-        recs = records_from_scores(list(rng.random(12)))
-        part = ac.partition_pool(recs, n=4)
-        by_idx = {r.sample_index: r for r in recs}
-        core = ac.CoreSet(budget_total=12)
-        for batch in part.batches:
-            core = ac.select_topk([by_idx[i] for i in batch], core, k=len(batch))
+        core = ac.CoreSet([], 12, 0)
+        for batch in np.array_split(rank(rng.random(12)), 4):
+            core = grow(core, batch.tolist())
         assert sorted(core.selected) == list(range(12))
-        assert core.budget_used == 12
+        assert len(core.selected) == 12
 
 
 class TestRotationPool:
@@ -524,8 +551,7 @@ class TestRotationPool:
 
 class TestCoresetIo:
     def test_writes_header_then_one_index_per_line(self, tmp_path):
-        core = ac.CoreSet(selected=[4, 1, 9], budget_total=12, budget_used=3,
-                          stage=2)
+        core = ac.CoreSet(selected=[4, 1, 9], budget_total=12, stage=2)
         path = tmp_path / "core.txt"
         ac.save_coreset(path, core)
         assert path.read_bytes() == (

@@ -85,27 +85,39 @@ class TestExitCodes:
 
     def test_bad_bundle_sidecar_is_format_error(self, workdir, tmp_path):
         # the gen bundle, rewritten with a spec sidecar that lacks "shift"
-        good = data.load_bundle(workdir / "bundle.bin")
-        fields = dataclasses.asdict(good.spec)
+        spec = data.load_bundle(workdir / "bundle.bin").spec
+        fields = dataclasses.asdict(spec)
         del fields["shift"]
-        sidecar = json.dumps(fields).encode("utf-8")
-        path = tmp_path / "no_shift.bin"
-        with open(path, "wb") as f:
-            f.write(container.MAGIC_DATASET)
-            container.write_tensor_map(f, {
-                "source_x": good.source_x, "source_y": good.source_y,
-                "target_x": good.target_x,
-                "target_y_eval": good.target_y_eval})
-            f.write(struct.pack("<Q", len(sidecar)) + sidecar)
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "a3.cli", "eval", "--ckpt",
-             str(workdir / "target_ckpt.bin"), "--bundle", str(path)] + TINY,
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = eval_with_spec(workdir, tmp_path, fields)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "KeyError" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_bundle_spec_missing_shift_keys_is_format_error(self, workdir,
+                                                            tmp_path):
+        # left out, translation_px and contrast_gamma have no value to
+        # fall back on
+        spec = data.load_bundle(workdir / "bundle.bin").spec
+        fields = dataclasses.asdict(spec)
+        shift = fields["shift"]
+        del shift["translation_px"], shift["contrast_gamma"]
+        proc = eval_with_spec(workdir, tmp_path, fields)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: bad bundle spec at byte offset ")
+        assert "'translation_px' and 'contrast_gamma'" in proc.stderr
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--contrast-gamma", "0", "contrast_gamma must be positive, got 0.0"),
+        ("--image-side", "7", "image_side must be >= 8, got 7"),
+        ("--n-classes", "1", "n_classes must be >= 2, got 1"),
+    ], ids=["contrast_gamma", "image_side", "n_classes"])
+    def test_eval_refuses_a_setting_gen_refuses(self, workdir, flag, value,
+                                                message):
+        proc = run_cli(["eval", "--ckpt", str(workdir / "target_ckpt.bin"),
+                        "--bundle", str(workdir / "bundle.bin"), flag, value])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("command,content", [
         ("report", b"not json\n"),
@@ -173,6 +185,22 @@ class TestExitCodes:
         capsys.readouterr()
         ckpt = models.load_checkpoint(tmp_path / "source_ckpt.bin")
         assert all(np.all(np.isfinite(t)) for t in ckpt.tensors.values())
+
+
+def eval_with_spec(workdir: Path, tmp_path: Path,
+                   fields: dict) -> subprocess.CompletedProcess:
+    """`a3 eval` on the gen bundle, rewritten with the given spec fields."""
+    good = data.load_bundle(workdir / "bundle.bin")
+    sidecar = json.dumps(fields).encode("utf-8")
+    path = tmp_path / "respec.bin"
+    with open(path, "wb") as f:
+        f.write(container.MAGIC_DATASET)
+        container.write_tensor_map(f, {
+            "source_x": good.source_x, "source_y": good.source_y,
+            "target_x": good.target_x, "target_y_eval": good.target_y_eval})
+        f.write(struct.pack("<Q", len(sidecar)) + sidecar)
+    return run_cli(["eval", "--ckpt", str(workdir / "target_ckpt.bin"),
+                    "--bundle", str(path)] + TINY)
 
 
 def run_cli(argv: list[str], warnings: str = "ignore::RuntimeWarning"
@@ -297,6 +325,21 @@ class TestDivergenceStderr:
         self.assert_two_lines(proc, "adaptation",
                               tmp_path / "target_ckpt.bin")
 
+    def test_ablate_pretraining(self, tmp_path):
+        # pretraining's last good checkpoint is saved beside the variants'
+        out = tmp_path / "abl"
+        proc = run_cli(["ablate", "--variants", "hybrid", "--out", str(out),
+                        "--samples-per-class", "4", "--pretrain-epochs", "3",
+                        "--ssl-lr", "1.7e308", "--budget-total", "36",
+                        "--n-cycles", "4", "--kmeans-k", "4",
+                        "--k-prototypes", "4", "--batch-size", "8"],
+                       warnings="default")
+        self.assert_two_lines(proc, "pretraining",
+                              out / "last_good_source.bin")
+        assert [p.name for p in out.iterdir()] == ["last_good_source.bin"]
+        saved = models.load_checkpoint(out / "last_good_source.bin")
+        assert all(np.all(np.isfinite(t)) for t in saved.tensors.values())
+
     def test_adapt_overflowing_forward_pass(self, tmp_path):
         # the last step leaves finite weights near 1e308 whose forward pass
         # overflows; that model must not become the last good one
@@ -393,6 +436,27 @@ class TestAblate:
         out = capsys.readouterr().out
         for row in ("source-only", "hybrid", "random"):
             assert any(ln.startswith(row) for ln in out.splitlines())
+
+    @pytest.mark.parametrize("bad_bundle,flags,message", [
+        (True, [], "error: bad magic at byte offset 0"),
+        # adapt refuses this budget only after the shared pretraining
+        (False, ["--samples-per-class", "4", "--budget-total", "48",
+                 "--n-cycles", "4", "--kmeans-k", "4", "--k-prototypes", "4",
+                 "--batch-size", "8", "--pretrain-epochs", "1"],
+         "error: budget_total 48 exceeds target pool size 40"),
+    ], ids=["bad_bundle", "budget_above_pool"])
+    def test_refusal_leaves_no_output_directory(self, tmp_path, bad_bundle,
+                                                flags, message):
+        if bad_bundle:
+            (tmp_path / "bad.bin").write_bytes(b"garbage")
+            flags = ["--bundle", str(tmp_path / "bad.bin")]
+        out = tmp_path / "abl"
+        proc = run_cli(["ablate", "--variants", "hybrid", "--out", str(out)]
+                       + flags)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+        assert not out.exists()
 
     def test_unknown_variant_rejected(self, tmp_path, capsys):
         rc = cli.main(["ablate", "--variants", "hybrid,blorp",

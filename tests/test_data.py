@@ -22,24 +22,32 @@ def zero_shift():
                         contrast_gamma=1.0)
 
 
+# the target shift of every spec below that does not test another one
+SHIFT = dt.ShiftSpec(intensity_scale=0.7, noise_sigma=0.15, translation_px=2,
+                     contrast_gamma=1.5)
+
+
 class TestSpecs:
     def test_small_side_rejected(self):
         with pytest.raises(ConfigError):
-            dt.DomainSpec(image_side=7)
+            dt.DomainSpec(n_classes=10, samples_per_class=100, image_side=7,
+                          shift=SHIFT, seed=0)
 
     def test_bad_shift_values_rejected(self):
         with pytest.raises(ConfigError):
-            dt.ShiftSpec(noise_sigma=-0.1)
+            dataclasses.replace(SHIFT, noise_sigma=-0.1)
         with pytest.raises(ConfigError):
-            dt.ShiftSpec(contrast_gamma=0.0)
+            dataclasses.replace(SHIFT, contrast_gamma=0.0)
         with pytest.raises(ConfigError):
-            dt.ShiftSpec(intensity_scale=float("inf"))
+            dataclasses.replace(SHIFT, intensity_scale=float("inf"))
 
     def test_degenerate_counts_rejected(self):
         with pytest.raises(ConfigError):
-            dt.DomainSpec(n_classes=1)
+            dt.DomainSpec(n_classes=1, samples_per_class=100, image_side=16,
+                          shift=SHIFT, seed=0)
         with pytest.raises(ConfigError):
-            dt.DomainSpec(samples_per_class=0)
+            dt.DomainSpec(n_classes=10, samples_per_class=0, image_side=16,
+                          shift=SHIFT, seed=0)
 
 
 def reference_domain_pair(spec):
@@ -82,7 +90,8 @@ REFERENCE_SHIFTS = [(1, 0.8, 0.15, 0.7), (2, 1.5, 0.15, 0.7),
 
 class TestGeneration:
     def test_minimal_bundle_shapes(self):
-        spec = dt.DomainSpec(n_classes=2, samples_per_class=1, image_side=16)
+        spec = dt.DomainSpec(n_classes=2, samples_per_class=1, image_side=16,
+                             shift=SHIFT, seed=0)
         b = dt.generate_domain_pair(spec)
         assert b.source_x.shape == (2, 256)
         assert b.source_y.shape == (2,)
@@ -90,22 +99,25 @@ class TestGeneration:
         assert b.target_y_eval.shape == (2,)
 
     def test_deterministic_per_seed(self):
-        spec = dt.DomainSpec(n_classes=3, samples_per_class=4, seed=11)
+        spec = dt.DomainSpec(n_classes=3, samples_per_class=4, image_side=16,
+                             shift=SHIFT, seed=11)
         a = dt.generate_domain_pair(spec)
         b = dt.generate_domain_pair(spec)
         assert a.source_x.tobytes() == b.source_x.tobytes()
         assert a.target_x.tobytes() == b.target_x.tobytes()
-        c = dt.generate_domain_pair(dt.DomainSpec(n_classes=3, samples_per_class=4,
-                                                  seed=12))
+        c = dt.generate_domain_pair(dataclasses.replace(spec, seed=12))
         assert a.source_x.tobytes() != c.source_x.tobytes()
 
     def test_pixels_in_unit_range(self):
-        b = dt.generate_domain_pair(dt.DomainSpec(n_classes=4, samples_per_class=6))
+        b = dt.generate_domain_pair(dt.DomainSpec(
+            n_classes=4, samples_per_class=6, image_side=16, shift=SHIFT,
+            seed=0))
         for arr in (b.source_x, b.target_x):
             assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
 
     def test_zero_shift_probe_reaches_sanity_floor(self):
-        spec = dt.DomainSpec(shift=zero_shift(), seed=5)
+        spec = dt.DomainSpec(n_classes=10, samples_per_class=100,
+                             image_side=16, shift=zero_shift(), seed=5)
         b = dt.generate_domain_pair(spec)
         w, bias = fit_pixel_probe(b.source_x, b.source_y, spec.n_classes)
         acc = probe_accuracy(w, bias, b.target_x, b.target_y_eval)
@@ -118,7 +130,7 @@ class TestGeneration:
             accs = []
             for seed in range(5):
                 spec = dt.DomainSpec(
-                    samples_per_class=40,
+                    n_classes=10, samples_per_class=40, image_side=16,
                     shift=dt.ShiftSpec(intensity_scale=1.0, noise_sigma=sigma,
                                        translation_px=0, contrast_gamma=1.0),
                     seed=seed)
@@ -144,7 +156,9 @@ class TestGeneration:
             assert b.target_x.tobytes() == target_x.tobytes()
 
     def test_labels_match_between_domains(self):
-        b = dt.generate_domain_pair(dt.DomainSpec(n_classes=3, samples_per_class=5))
+        b = dt.generate_domain_pair(dt.DomainSpec(
+            n_classes=3, samples_per_class=5, image_side=16, shift=SHIFT,
+            seed=0))
         np.testing.assert_array_equal(b.source_y, b.target_y_eval)
         assert b.source_y.dtype == np.int64
 
@@ -277,7 +291,8 @@ class TestAugmentation:
 
 class TestBundleIo:
     def make_bundle(self):
-        spec = dt.DomainSpec(n_classes=3, samples_per_class=2, seed=21)
+        spec = dt.DomainSpec(n_classes=3, samples_per_class=2, image_side=16,
+                             shift=SHIFT, seed=21)
         return dt.generate_domain_pair(spec)
 
     def test_round_trip_bitwise(self, tmp_path):
@@ -324,7 +339,8 @@ class TestBundleIo:
 
 
 
-SPEC2 = dt.DomainSpec(n_classes=2, samples_per_class=4, image_side=8, seed=3)
+SPEC2 = dt.DomainSpec(n_classes=2, samples_per_class=4, image_side=8,
+                      shift=SHIFT, seed=3)
 
 
 def spec_json(**changes) -> bytes:
@@ -377,11 +393,18 @@ class TestBundleValidation:
         (b"[1, 2]", None, "TypeError"),
         (spec_json(image_side=4), None, "image_side"),
         (spec_json(n_classes=2.5), None, "n_classes must be an integer"),
-        (spec_json(shift={"noise_sigma": "x"}), None, "TypeError"),
+        (spec_json(shift={**dataclasses.asdict(SHIFT), "noise_sigma": "x"}),
+         None, "TypeError"),
         (b"[" * 100000, None, "byte offset"),
+        (spec_json(shift={"intensity_scale": 0.7, "noise_sigma": 0.15}), None,
+         "missing 2 required .* 'translation_px' and 'contrast_gamma'"),
+        (json.dumps({k: v for k, v in dataclasses.asdict(SPEC2).items()
+                     if k != "image_side"}).encode(), None,
+         "missing 1 required .* 'image_side'"),
     ], ids=["missing_shift", "non_utf8", "unknown_key", "huge_length",
             "not_json", "not_object", "bad_value", "float_count",
-            "bad_shift_type", "deep_nesting"])
+            "bad_shift_type", "deep_nesting", "missing_shift_keys",
+            "missing_spec_key"])
     def test_bad_sidecar_is_format_error(self, tmp_path, sidecar, length,
                                          match):
         path = tmp_path / "bad.bin"

@@ -152,6 +152,7 @@ class TestRunConfig:
         ("vat_xi", 0.0), ("vat_eps_radius", -1.0), ("vat_power_iters", 0),
         ("ssl_lr", 0.0), ("target_lr", 0.0), ("rotation_lr", 0.0),
         ("momentum", 1.0), ("weight_decay", -1e-3),
+        ("contrast_gamma", 0.0), ("image_side", 7), ("n_classes", 1),
     ])
     def test_rejects_out_of_range_setting(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must "):
@@ -455,7 +456,7 @@ class TestAdapt:
         ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
         _, core, records = pipeline.adapt(cfg, ckpt, bundle.target_x)
         assert sorted({r.coreset_size for r in records}) == [40, 80, 120]
-        assert core.budget_used == core.budget_total == 120
+        assert len(core.selected) == core.budget_total == 120
 
     def test_budget_conservation_without_duplicates(self):
         cfg = small_config()
@@ -670,5 +671,5 @@ class TestAdapt:
         bundle = make_bundle(cfg)
         ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
         tck, core, records = pipeline.adapt(cfg, ckpt, bundle.target_x)
-        assert core.budget_used == cfg.budget_total
+        assert len(core.selected) == cfg.budget_total
         assert len(records) == (cfg.n_cycles - 1) * cfg.target_epochs

@@ -107,3 +107,38 @@ def test_every_member_is_read():
                for cls, name in members(tree)]
     assert len(defined) > 50
     assert [m for m in defined if m.rsplit(".", 1)[1] not in loads] == []
+
+
+def shadowed_settings(trees: dict[str, ast.Module]) -> list[str]:
+    """Each parameter or dataclass field outside RunConfig that has a
+    default and the name of a RunConfig field."""
+    config = next(node for node in trees["pipeline"].body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "RunConfig")
+    settings = {node.target.id for node in config.body
+                if isinstance(node, ast.AnnAssign)}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node is not config \
+                    and "dataclass" in decorator_names(node):
+                found += [f"{module}.{node.name}.{f.target.id}"
+                          for f in node.body if isinstance(f, ast.AnnAssign)
+                          and f.value is not None
+                          and f.target.id in settings]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [arg for arg, d in zip(a.kwonlyargs,
+                                                    a.kw_defaults)
+                              if d is not None]
+                found += [f"{module}.{node.name}({arg.arg})"
+                          for arg in defaulted if arg.arg in settings]
+    return found
+
+
+def test_no_default_shadows_a_run_setting():
+    """A default on a name that RunConfig owns is a second value for that
+    setting, which a caller gets silently by leaving the argument out."""
+    assert shadowed_settings(parse_all(PACKAGE)) == []

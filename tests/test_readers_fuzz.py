@@ -25,8 +25,10 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 def bundle_bytes(tmp_path) -> bytes:
+    shift = data.ShiftSpec(intensity_scale=0.7, noise_sigma=0.15,
+                           translation_px=2, contrast_gamma=1.5)
     spec = data.DomainSpec(n_classes=2, samples_per_class=2, image_side=8,
-                           seed=4)
+                           shift=shift, seed=4)
     path = tmp_path / "bundle.bin"
     data.save_bundle(path, data.generate_domain_pair(spec))
     return path.read_bytes()
