@@ -28,6 +28,7 @@ __all__ = [
     "backward",
     "no_grad",
     "matmul",
+    "dense",
     "transpose",
     "add",
     "add_bias",
@@ -273,6 +274,29 @@ def matmul(a, b) -> Tensor:
         return (g @ bd.T if need_a else None), (ad.T @ g if need_b else None)
 
     return _record("matmul", (a, b), ad @ bd, grad_fn)
+
+
+def dense(h, w, b) -> Tensor:
+    """relu(h @ w + b) for a B x d_in batch, a d_in x d_out weight and a
+    length-d_out bias, recorded as one node. Forward and backward evaluate
+    the same NumPy expressions, in the same order, as relu, add_bias and
+    matmul recorded one after another."""
+    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
+    if (h.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or h.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"dense: shapes {h.shape}, {w.shape} and {b.shape} "
+                         f"do not conform")
+    hd, wd = h.data, w.data
+    need_h, need_w = h.requires_grad, w.requires_grad
+    pre = hd @ wd + b.data[None, :]
+    mask = pre > 0
+
+    def grad_fn(g):
+        g = g * mask
+        return ((g @ wd.T if need_h else None), (hd.T @ g if need_w else None),
+                g.sum(axis=0))
+
+    return _record("dense", (h, w, b), np.where(mask, pre, 0.0), grad_fn)
 
 
 def transpose(a) -> Tensor:

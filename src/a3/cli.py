@@ -154,6 +154,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
                 f"{', '.join(sorted(ABLATION_VARIANTS))}")
     out = Path(args.out)
     bundle = _load_or_make_bundle(args, config)
+    # every variant adapts this pool with the same budget, so a pool that
+    # adapt would refuse is refused before the shared pretraining
+    pipeline.check_target_pool(config, bundle.target_x)
 
     # one shared source checkpoint keeps the comparison apples-to-apples
     try:

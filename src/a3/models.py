@@ -5,6 +5,11 @@ the embedding space where prototypes live), the prototype matrix, a binary
 domain classifier, and a 4-way rotation classifier whose MC-dropout
 posterior drives acquisition. Checkpoints serialize every tensor by name
 together with a config fingerprint and the pipeline stage index.
+
+Every dense weight (the `.weight` and `.projection` tensors) is held in
+memory as (d_in, d_out), the layout its product ``h @ w`` reads, and is
+written to checkpoints as (d_out, d_in); the transpose happens only in
+``to_tensor_map`` and ``from_tensor_map``.
 """
 
 from __future__ import annotations
@@ -22,31 +27,33 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 
 @dataclass
 class EncoderParams:
-    """MLP layers (weight d_out x d_in, bias d_out) plus a p x d projection."""
+    """MLP layers (weight d_in x d_out, bias d_out) plus a d x p projection.
+
+    Weights are held (d_in, d_out); checkpoints store them (d_out, d_in)."""
 
     layers: list[tuple[Tensor, Tensor]]
     projection: Tensor
 
     def __post_init__(self) -> None:
         for i in range(len(self.layers) - 1):
-            d_out = self.layers[i][0].shape[0]
-            d_in_next = self.layers[i + 1][0].shape[1]
+            d_out = self.layers[i][0].shape[1]
+            d_in_next = self.layers[i + 1][0].shape[0]
             if d_out != d_in_next:
                 raise ShapeError(
                     f"encoder layer {i} outputs {d_out} but layer {i + 1} "
                     f"expects {d_in_next}")
-        if self.projection.shape[1] != self.layers[-1][0].shape[0]:
+        if self.projection.shape[0] != self.layers[-1][0].shape[1]:
             raise ShapeError(
-                f"projection expects {self.projection.shape[1]} inputs but the "
-                f"last layer outputs {self.layers[-1][0].shape[0]}")
+                f"projection expects {self.projection.shape[0]} inputs but the "
+                f"last layer outputs {self.layers[-1][0].shape[1]}")
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[0]
 
     @property
     def embed_dim(self) -> int:
-        return self.projection.shape[0]
+        return self.projection.shape[1]
 
 
 @dataclass
@@ -95,17 +102,24 @@ class ModelParams:
 # Initialization
 # ---------------------------------------------------------------------------
 
+def _init_weight(rng: np.random.Generator, std: float, d_in: int,
+                 d_out: int) -> Tensor:
+    """A trainable d_in x d_out weight of N(0, std^2) values, drawn in the
+    checkpoint layout (d_out, d_in)."""
+    return Tensor(rng.normal(0.0, std, size=(d_out, d_in)).T.copy(),
+                  requires_grad=True)
+
+
 def init_encoder(rng: np.random.Generator, in_dim: int,
                  widths: tuple[int, ...], embed_dim: int) -> EncoderParams:
     layers = []
     prev = in_dim
     for w in widths:
-        weight = rng.normal(0.0, np.sqrt(2.0 / prev), size=(w, prev))
-        layers.append((Tensor(weight, requires_grad=True),
+        layers.append((_init_weight(rng, np.sqrt(2.0 / prev), prev, w),
                        Tensor(np.zeros(w), requires_grad=True)))
         prev = w
-    proj = rng.normal(0.0, 1.0 / np.sqrt(prev), size=(embed_dim, prev))
-    return EncoderParams(layers, Tensor(proj, requires_grad=True))
+    return EncoderParams(layers, _init_weight(rng, 1.0 / np.sqrt(prev), prev,
+                                              embed_dim))
 
 
 def init_prototypes(rng: np.random.Generator, k: int, embed_dim: int) -> Prototypes:
@@ -117,11 +131,9 @@ def init_prototypes(rng: np.random.Generator, k: int, embed_dim: int) -> Prototy
 def init_domain_classifier(rng: np.random.Generator, embed_dim: int,
                            hidden: int) -> DomainClassifierParams:
     return DomainClassifierParams(
-        w1=Tensor(rng.normal(0.0, np.sqrt(2.0 / embed_dim), size=(hidden, embed_dim)),
-                  requires_grad=True),
+        w1=_init_weight(rng, np.sqrt(2.0 / embed_dim), embed_dim, hidden),
         b1=Tensor(np.zeros(hidden), requires_grad=True),
-        w2=Tensor(rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(1, hidden)),
-                  requires_grad=True),
+        w2=_init_weight(rng, 1.0 / np.sqrt(hidden), hidden, 1),
         b2=Tensor(np.zeros(1), requires_grad=True),
     )
 
@@ -132,8 +144,7 @@ def init_rotation_classifier(rng: np.random.Generator, trunk: EncoderParams,
     p = trunk.embed_dim
     return RotationClassifierParams(
         trunk=clone_encoder(trunk),
-        head_w=Tensor(rng.normal(0.0, 1.0 / np.sqrt(p), size=(4, p)),
-                      requires_grad=True),
+        head_w=_init_weight(rng, 1.0 / np.sqrt(p), p, 4),
         head_b=Tensor(np.zeros(4), requires_grad=True),
         dropout_rate=dropout_rate,
     )
@@ -159,8 +170,8 @@ def encode(params: EncoderParams, batch, normalize: bool = False) -> Tensor:
             f"{params.in_dim}")
     h = x
     for w, b in params.layers:
-        h = ad.relu(ad.add_bias(ad.matmul(h, ad.transpose(w)), b))
-    z = ad.matmul(h, ad.transpose(params.projection))
+        h = ad.dense(h, w, b)
+    z = ad.matmul(h, params.projection)
     if normalize:
         z = ad.l2_normalize(z, axis=1)
     return z
@@ -182,8 +193,8 @@ def prototype_scores(z: Tensor, protos: Prototypes, tau: float) -> Tensor:
 
 def domain_prob(dp: DomainClassifierParams, z: Tensor) -> Tensor:
     """Probability that each embedding row came from the source model."""
-    h = ad.relu(ad.add_bias(ad.matmul(z, ad.transpose(dp.w1)), dp.b1))
-    logit = ad.add_bias(ad.matmul(h, ad.transpose(dp.w2)), dp.b2)
+    h = ad.dense(z, dp.w1, dp.b1)
+    logit = ad.add_bias(ad.matmul(h, dp.w2), dp.b2)
     return ad.reshape(ad.sigmoid(logit), (z.shape[0],))
 
 
@@ -198,7 +209,7 @@ def rotation_head(rp: RotationClassifierParams, feats: Tensor,
     """Dropout and the 4-way head applied to trunk features `feats`."""
     if mask is not None:
         feats = ad.dropout(feats, mask)
-    logits = ad.add_bias(ad.matmul(feats, ad.transpose(rp.head_w)), rp.head_b)
+    logits = ad.add_bias(ad.matmul(feats, rp.head_w), rp.head_b)
     return ad.softmax(logits, axis=1)
 
 
@@ -251,8 +262,16 @@ def param_group(mp: ModelParams, *prefixes: str) -> dict[str, Tensor]:
             if name.startswith(prefixes)}
 
 
+def _flip(name: str, a: np.ndarray) -> np.ndarray:
+    """A fresh copy of a, transposed if name is a dense weight: the memory
+    layout (d_in, d_out) and the checkpoint layout (d_out, d_in) are each
+    the other's transpose."""
+    return a.T.copy() if name.endswith((".weight", ".projection")) else a.copy()
+
+
 def to_tensor_map(mp: ModelParams) -> dict[str, np.ndarray]:
-    arrays = {name: t.data.copy() for name, t in named_tensors(mp).items()}
+    """Every tensor by name, dense weights in the checkpoint layout."""
+    arrays = {name: _flip(name, t.data) for name, t in named_tensors(mp).items()}
     arrays["rotation.dropout_rate"] = np.asarray(mp.rotation.dropout_rate)
     return arrays
 
@@ -260,8 +279,9 @@ def to_tensor_map(mp: ModelParams) -> dict[str, np.ndarray]:
 def _read(arrays: dict[str, np.ndarray], name: str,
           *shape: int | str) -> Tensor:
     """The named tensor as a fresh trainable copy, so rebuilt models never
-    alias the checkpoint arrays. An int in shape is a required extent; a
-    str names an extent that may take any value."""
+    alias the checkpoint arrays; a dense weight comes back in the memory
+    layout. shape is the checkpoint layout: an int in it is a required
+    extent, a str names an extent that may take any value."""
     if name not in arrays:
         raise FormatError(f"checkpoint is missing tensor {name!r}")
     a = arrays[name]
@@ -271,7 +291,7 @@ def _read(arrays: dict[str, np.ndarray], name: str,
             + ("," if len(shape) == 1 else "") + ")"
         raise FormatError(f"checkpoint tensor {name!r} has shape {a.shape}, "
                           f"expected {expected}")
-    return Tensor(a.copy(), requires_grad=True)
+    return Tensor(_flip(name, a), requires_grad=True)
 
 
 def _read_encoder(prefix: str, arrays: dict[str, np.ndarray],
@@ -283,9 +303,9 @@ def _read_encoder(prefix: str, arrays: dict[str, np.ndarray],
     d_in = in_dim
     for i in range(n_layers):
         w = _read(arrays, f"{prefix}.layer{i}.weight", "width", d_in)
-        b = _read(arrays, f"{prefix}.layer{i}.bias", w.shape[0])
+        b = _read(arrays, f"{prefix}.layer{i}.bias", w.shape[1])
         layers.append((w, b))
-        d_in = w.shape[0]
+        d_in = w.shape[1]
     return EncoderParams(layers, _read(arrays, f"{prefix}.projection",
                                        "embed_dim", d_in))
 
@@ -296,7 +316,7 @@ def from_tensor_map(arrays: dict[str, np.ndarray]) -> ModelParams:
     enc = _read_encoder("encoder", arrays, "in_dim")
     p = enc.embed_dim
     w1 = _read(arrays, "domain.fc.weight", "hidden", p)
-    hidden = w1.shape[0]
+    hidden = w1.shape[1]
     trunk = _read_encoder("rotation.trunk", arrays, enc.in_dim)
     return ModelParams(
         encoder=enc,

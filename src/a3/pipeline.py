@@ -73,11 +73,12 @@ class Sgd:
         for name, t in self.params.items():
             if t.grad is None:
                 continue
-            g = t.grad + self.weight_decay * t.data
+            g = self.weight_decay * t.data
+            g += t.grad
             v = self.velocity[name]
             v *= self.momentum
             v += g
-            t.data -= lr * v
+            t.data -= np.multiply(v, lr, out=g)
             t.grad = None
 
 
@@ -486,6 +487,17 @@ def _check_input_matrix(x: np.ndarray, config: RunConfig, what: str) -> None:
             f"image_side**2 = {config.in_dim}")
 
 
+def check_target_pool(config: RunConfig, target_x: np.ndarray) -> None:
+    """Refuse a target pool that ``adapt`` cannot run on: not a sample
+    matrix of the config's width, too few rows for one training step, or
+    fewer rows than the total budget."""
+    _check_input_matrix(target_x, config, "target_x")
+    if config.budget_total > target_x.shape[0]:
+        raise ConfigError(
+            f"budget_total {config.budget_total} exceeds target pool size "
+            f"{target_x.shape[0]}")
+
+
 def _init_models(config: RunConfig, rng: np.random.Generator,
                  in_dim: int) -> models.ModelParams:
     enc = models.init_encoder(rng, in_dim, config.widths, config.embed_dim)
@@ -515,7 +527,7 @@ def _check_compat(mp: models.ModelParams, config: RunConfig,
         raise ConfigError(
             f"checkpoint has {mp.prototypes.vectors.shape[0]} prototypes, "
             f"config expects {config.k_prototypes}")
-    widths = tuple(w.shape[0] for w, _ in enc.layers)
+    widths = tuple(w.shape[1] for w, _ in enc.layers)
     if widths != config.widths:
         raise ConfigError(
             f"checkpoint encoder widths {widths} != config widths "
@@ -796,12 +808,8 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     metrics for every adaptation stage.
     """
     x_t = np.asarray(target_x, dtype=np.float64)
-    _check_input_matrix(x_t, config, "target_x")
+    check_target_pool(config, x_t)
     n_stages = config.n_cycles - 1
-    if config.budget_total > x_t.shape[0]:
-        raise ConfigError(
-            f"budget_total {config.budget_total} exceeds target pool size "
-            f"{x_t.shape[0]}")
     src = source_ckpt.models()
     _check_compat(src, config, x_t)
     fp = config_fingerprint(config)

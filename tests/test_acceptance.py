@@ -67,6 +67,13 @@ def _op_cases(rng):
     def away_from(vals, gap):
         return np.sign(vals) * (np.abs(vals) + gap)
 
+    def dense_inputs():
+        while True:  # keep every pre-activation away from the ReLU kink
+            h, w, b = (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)),
+                       rng.normal(size=2))
+            if np.min(np.abs(h @ w + b)) > 0.1:
+                return [h, w, b]
+
     mask = (rng.random((3, 4)) > 0.3).astype(np.float64) / 0.7
     mixed = away_from(rng.uniform(-0.8, 0.8, size=(3, 4)), 0.15)
     mixed.reshape(-1)[::4] *= 2.0  # push some entries past the clamp bounds
@@ -108,6 +115,7 @@ def _op_cases(rng):
         ("clamp", [mixed], lambda a: ad.clamp(a, -1.0, 1.0), None),
         ("gradient_reversal", [rng.normal(size=(3, 4))],
          lambda a: ad.gradient_reversal(a, 1.3), lambda g: -1.3 * g),
+        ("dense", dense_inputs(), ad.dense, None),
     ]
 
 

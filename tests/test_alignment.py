@@ -232,9 +232,9 @@ class TestDalLoss:
     def test_perfect_discrimination_floors_at_clamp(self):
         rng = np.random.default_rng(10)
         dp = init_domain_classifier(rng, 2, hidden=4)
-        dp.w1.data = np.array([[50.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        dp.w1.data = np.array([[50.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         dp.b1.data[:] = 0.0
-        dp.w2.data = np.array([[50.0, 0.0, 0.0, 0.0]])
+        dp.w2.data = np.array([[50.0], [0.0], [0.0], [0.0]])
         dp.b2.data = np.array([-25.0])
         z_s = Tensor(np.tile([2.0, 0.0], (4, 1)))
         z_t = Tensor(np.tile([-2.0, 0.0], (4, 1)))

@@ -158,6 +158,70 @@ class TestBackward:
         assert np.array_equal(gb1, bt2.grad)
 
 
+def _reference_dense(h, w, b):
+    return ad.relu(ad.add_bias(ad.matmul(h, w), b))
+
+
+class TestDense:
+    """The fused layer equals relu, add_bias and matmul recorded one after
+    another, bit for bit, in its output and in every gradient."""
+
+    @pytest.mark.parametrize("h_grad", [True, False])
+    def test_equals_unfused_composition(self, h_grad):
+        rng = np.random.default_rng(21)
+        arrays = [rng.normal(size=(6, 5)), rng.normal(size=(5, 3)),
+                  rng.normal(size=3), rng.normal(size=(6, 3))]
+        results = []
+        for layer in (ad.dense, _reference_dense):
+            h = Tensor(arrays[0], requires_grad=h_grad)
+            w = Tensor(arrays[1], requires_grad=True)
+            b = Tensor(arrays[2], requires_grad=True)
+            out = layer(h, w, b)
+            backward(ad.tsum(ad.mul(out, Tensor(arrays[3]))))
+            results.append((out.data, h.grad, w.grad, b.grad))
+        fused, ref = results
+        assert 0 < np.count_nonzero(fused[0]) < fused[0].size
+        assert (fused[1] is None) == (not h_grad)
+        for got, want in zip(fused, ref):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_shared_weight_accumulates_like_unfused(self):
+        # one weight feeds three layer nodes, two of them chained
+        rng = np.random.default_rng(22)
+        x1, x2 = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+        w, b = rng.normal(size=(4, 4)), rng.normal(size=4)
+        upstream = rng.normal(size=(7, 4))
+        results = []
+        for layer in (ad.dense, _reference_dense):
+            t1 = Tensor(x1, requires_grad=True)
+            t2 = Tensor(x2, requires_grad=True)
+            wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            out = ad.add(layer(layer(t1, wt, bt), wt, bt), layer(t2, wt, bt))
+            backward(ad.tsum(ad.mul(out, Tensor(upstream))))
+            results.append((out.data, t1.grad, t2.grad, wt.grad, bt.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_records_one_node(self):
+        out = ad.dense(Tensor(np.ones((2, 3))),
+                       Tensor(np.ones((3, 4)), requires_grad=True),
+                       Tensor(np.zeros(4)))
+        assert out.node.op == "dense"
+        assert all(t.node is None for t in out.node.inputs)
+
+    @pytest.mark.parametrize("h,w,b", [
+        ((2, 3), (4, 5), (5,)),
+        ((2, 3), (3, 5), (4,)),
+        ((3,), (3, 5), (5,)),
+        ((2, 3), (3,), (3,)),
+        ((2, 3), (3, 5), (1, 5)),
+    ], ids=["inner", "bias", "h_1d", "w_1d", "b_2d"])
+    def test_bad_shapes_rejected(self, h, w, b):
+        with pytest.raises(ShapeError, match="dense"):
+            ad.dense(Tensor(np.zeros(h)), Tensor(np.zeros(w)),
+                     Tensor(np.zeros(b)))
+
+
 class TestGradientReversal:
     def test_forward_is_bitwise_identity(self):
         rng = np.random.default_rng(5)
@@ -200,6 +264,13 @@ def _random_inputs(kind, rng):
         return lambda a, b: a @ b, [rng.normal(size=(m, k)), rng.normal(size=(k, n))]
     if kind == "transpose":
         return lambda a: a.T, [rng.normal(size=(m, n))]
+    if kind == "dense":
+        k = rng.integers(2, 9)
+        while True:  # keep every pre-activation away from the kink at 0
+            h, w, b = (rng.normal(size=(m, k)), rng.normal(size=(k, n)),
+                       rng.normal(size=n))
+            if np.min(np.abs(h @ w + b)) > 0.1:
+                return lambda h, w, b: np.maximum(h @ w + b, 0.0), [h, w, b]
     if kind in ("add", "sub", "mul"):
         f = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[kind]
         return f, [rng.normal(size=(m, n)), rng.normal(size=(m, n))]
@@ -251,6 +322,7 @@ def _random_inputs(kind, rng):
 _AD_CALLS = {
     "matmul": lambda ts: ad.matmul(*ts),
     "transpose": lambda ts: ad.transpose(*ts),
+    "dense": lambda ts: ad.dense(*ts),
     "add": lambda ts: ad.add(*ts),
     "sub": lambda ts: ad.sub(*ts),
     "mul": lambda ts: ad.mul(*ts),

@@ -439,7 +439,6 @@ class TestAblate:
 
     @pytest.mark.parametrize("bad_bundle,flags,message", [
         (True, [], "error: bad magic at byte offset 0"),
-        # adapt refuses this budget only after the shared pretraining
         (False, ["--samples-per-class", "4", "--budget-total", "48",
                  "--n-cycles", "4", "--kmeans-k", "4", "--k-prototypes", "4",
                  "--batch-size", "8", "--pretrain-epochs", "1"],
@@ -457,6 +456,25 @@ class TestAblate:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message)
         assert not out.exists()
+
+    def test_pool_refused_before_pretraining(self, tmp_path, monkeypatch,
+                                             capsys):
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretrain_source was called")
+
+        monkeypatch.setattr(pipeline, "pretrain_source", no_pretraining)
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["ablate", "--variants", "hybrid", "--out", "abl3",
+                       "--samples-per-class", "4", "--budget-total", "48",
+                       "--n-cycles", "4", "--k-prototypes", "4",
+                       "--batch-size", "8", "--kmeans-k", "4",
+                       "--pretrain-epochs", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: budget_total 48 exceeds target pool size 40"]
+        assert not (tmp_path / "abl3").exists()
 
     def test_unknown_variant_rejected(self, tmp_path, capsys):
         rc = cli.main(["ablate", "--variants", "hybrid,blorp",

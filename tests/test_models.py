@@ -9,6 +9,7 @@ import pytest
 
 from a3 import autodiff as ad
 from a3 import models as m
+from a3 import pipeline
 from a3.container import (MAGIC_CHECKPOINT, check_magic, read_tensor_map,
                           write_tensor_map)
 from a3.errors import ConfigError, ContractError, FormatError, ShapeError
@@ -25,7 +26,30 @@ def tiny_models(seed: int = 0, in_dim: int = 9) -> m.ModelParams:
     )
 
 
+def recorded_ops(t: ad.Tensor) -> list[str]:
+    """The op of every node t's graph holds, found through node inputs."""
+    ops, seen, stack = [], set(), [t.node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops.append(node.op)
+        stack.extend(inp.node for inp in node.inputs)
+    return ops
+
+
 class TestEncode:
+    @pytest.mark.parametrize("widths", [(12,), (12, 10), (12, 10, 8)])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_one_node_per_layer(self, widths, normalize):
+        enc = m.init_encoder(np.random.default_rng(3), 9, widths, 6)
+        z = m.encode(enc, np.ones((4, 9)), normalize=normalize)
+        ops = recorded_ops(z)
+        assert len(ops) == len(widths) + 1 + normalize
+        assert ops.count("dense") == len(widths)
+        assert "transpose" not in ops
+
     def test_zero_weights_give_zero_embeddings(self):
         mp = tiny_models()
         for w, b in mp.encoder.layers:
@@ -296,6 +320,45 @@ class TestCheckpoint:
         for name, t in m.named_tensors(mp).items():
             assert np.array_equal(m.named_tensors(back)[name].data, t.data), name
         assert back.rotation.dropout_rate == mp.rotation.dropout_rate
+
+    def test_file_round_trip_gives_identical_arrays(self, tmp_path):
+        mp = tiny_models(19)
+        m.save_checkpoint(tmp_path / "c.ckpt", m.Checkpoint.of(mp))
+        back = m.named_tensors(m.load_checkpoint(tmp_path / "c.ckpt").models())
+        for name, t in m.named_tensors(mp).items():
+            assert back[name].shape == t.shape, name
+            assert back[name].data.tobytes() == t.data.tobytes(), name
+
+    def test_weights_are_written_as_drawn(self):
+        """Memory holds dense weights (d_in, d_out); the checkpoint holds
+        them (d_out, d_in), exactly the arrays that initialization draws."""
+        cfg = pipeline.RunConfig(encoder_widths="12,10", embed_dim=6,
+                                 k_prototypes=4, domain_hidden=5, batch_size=8)
+        mp = pipeline._init_models(cfg, np.random.default_rng(31), 9)
+        rng = np.random.default_rng(31)  # replay _init_models' draws
+        want, prev = {}, 9
+        for i, width in enumerate((12, 10)):
+            want[f"layer{i}.weight"] = rng.normal(0.0, np.sqrt(2.0 / prev),
+                                                  size=(width, prev))
+            prev = width
+        want["projection"] = rng.normal(0.0, 1.0 / np.sqrt(prev), size=(6, prev))
+        want = {prefix + name: a for name, a in want.items()
+                for prefix in ("encoder.", "rotation.trunk.")}
+        rng.normal(size=(4, 6))  # prototypes
+        want["domain.fc.weight"] = rng.normal(0.0, np.sqrt(2.0 / 6), size=(5, 6))
+        want["domain.logit.weight"] = rng.normal(0.0, 1.0 / np.sqrt(5),
+                                                 size=(1, 5))
+        want["rotation.head.weight"] = rng.normal(0.0, 1.0 / np.sqrt(6),
+                                                  size=(4, 6))
+
+        arrays = m.to_tensor_map(mp)
+        assert {n for n in arrays if n.endswith((".weight", ".projection"))} \
+            == set(want)
+        for name, a in want.items():
+            assert arrays[name].shape == a.shape, name
+            assert arrays[name].tobytes() == a.tobytes(), name
+        assert mp.encoder.layers[0][0].shape == (9, 12)
+        assert mp.encoder.projection.shape == (10, 6)
 
     def test_truncated_trailer_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"

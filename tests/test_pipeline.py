@@ -82,6 +82,37 @@ class TestSgd:
         # velocities 1.0 then 1.5
         np.testing.assert_allclose(t.data, np.array([-2.5]), rtol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_step_equals_out_of_place_formula(self, order):
+        from a3.autodiff import Tensor
+
+        def reference_step(data, velocity, grad, lr, momentum, weight_decay):
+            # the out-of-place update that the in-place step replaced
+            g = grad + weight_decay * data
+            velocity = velocity * momentum
+            velocity = velocity + g
+            return data - lr * velocity, velocity
+
+        rng = np.random.default_rng(44)
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3) * 1e-3, requires_grad=True)
+        opt = pipeline.Sgd({"w": w, "b": b}, 0.37, "cosine", 0.9, 3e-4)
+        ref = {"w": (w.data.copy(), np.zeros((5, 3))),
+               "b": (b.data.copy(), np.zeros(3))}
+        for progress in (0.0, 0.3, 0.7):
+            grads = {"w": np.asarray(rng.normal(size=(3, 5)).T, order=order),
+                     "b": rng.normal(size=3) * 1e2}
+            assert grads["w"].flags[order + "_CONTIGUOUS"]
+            w.grad, b.grad = grads["w"], grads["b"]
+            opt.step(progress)
+            lr = opt.lr_at(progress)
+            for name, t in (("w", w), ("b", b)):
+                ref[name] = reference_step(*ref[name], grads[name], lr, 0.9,
+                                           3e-4)
+                assert t.data.tobytes() == ref[name][0].tobytes()
+                assert opt.velocity[name].tobytes() == ref[name][1].tobytes()
+                assert t.grad is None
+
     def test_params_without_grad_are_skipped(self):
         from a3.autodiff import Tensor
         t = Tensor(np.array([3.0]), requires_grad=True)

@@ -15,7 +15,7 @@ TESTS = Path(__file__).resolve().parent
 
 # Autodiff ops that only the gradient-integrity acceptance criterion uses.
 TEST_ONLY = {"autodiff.concat", "autodiff.div", "autodiff.exp",
-             "autodiff.tslice"}
+             "autodiff.relu", "autodiff.tslice"}
 
 
 def parse_all(directory: Path) -> dict[str, ast.Module]:
