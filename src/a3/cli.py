@@ -273,9 +273,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # A diverging run overflows before the finite checks turn it into
-        # a NumericError; the error line alone reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # A diverging run overflows, or takes the log of an underflowed
+        # probability, before the finite checks turn it into a
+        # NumericError; the error line alone reports it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,13 @@ phase index); identical configs reproduce checkpoints and metrics bitwise.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
+import os
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -559,14 +563,75 @@ def _finite_checkpoint(mp: models.ModelParams, fingerprint: int,
     return ckpt
 
 
-def _swap_term(config: RunConfig, mp: models.ModelParams, xb: np.ndarray,
-               seed: int) -> Tensor:
+def _unit_embeddings(enc: models.EncoderParams, x) -> Tensor:
+    """The unit-norm embeddings that training scores against the
+    prototypes. A ReLU layer can map a row to exactly zero, which has no
+    direction to normalize; that is a NumericError naming the row."""
+    z = models.encode(enc, x, normalize=True)
+    norms = np.linalg.norm(z.data, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-4)
+    if bad.size:
+        raise NumericError(
+            f"the encoder maps minibatch row {bad[0]} to a zero embedding")
+    return z
+
+
+def _swap_term(config: RunConfig, mp: models.ModelParams, va: np.ndarray,
+               vb: np.ndarray) -> Tensor:
     """Swap-prediction loss between two augmented views of a minibatch."""
-    va, vb = data.augment_two_views(xb, seed)
-    z_a = models.encode(mp.encoder, va, normalize=True)
-    z_b = models.encode(mp.encoder, vb, normalize=True)
+    z_a = _unit_embeddings(mp.encoder, va)
+    z_b = _unit_embeddings(mp.encoder, vb)
     return ssl_swap.swap_loss(z_a, z_b, mp.prototypes, config.tau,
                               config.sinkhorn_epsilon, config.sinkhorn_iters)
+
+
+def _stream_two_views(x: np.ndarray, plan: list[tuple[np.ndarray, int]]):
+    """Yield ``data.augment_two_views(x[chunk], seed)`` for each (chunk,
+    seed) of the plan, in order, computed by one forked helper process.
+
+    The helper writes each view's raw float64 bytes to a pipe, whose
+    capacity keeps it about one step ahead of the consumer. It ends only
+    through os._exit, so it never runs the caller's code, exit handlers or
+    stdio flushes. Closing the generator kills the helper, and every way
+    out of the generator reaps it.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the helper
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe, np.errstate(all="ignore"):
+                for chunk, seed in plan:
+                    for view in data.augment_two_views(x[chunk], seed):
+                        pipe.write(view)
+                    pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    status = None
+    try:
+        with open(r, "rb") as pipe:
+            for chunk, _ in plan:
+                views = (np.empty((chunk.shape[0], x.shape[1])),
+                         np.empty((chunk.shape[0], x.shape[1])))
+                # a buffered read fills its target unless the stream ends
+                if any(pipe.readinto(v) < v.nbytes for v in views):
+                    status = os.waitpid(pid, 0)[1]
+                    raise ChildProcessError(
+                        f"the augmentation helper process ended early with "
+                        f"exit status {os.waitstatus_to_exitcode(status)}")
+                yield views
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,31 +658,38 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
     per_epoch = _steps_per_epoch(x.shape[0], config.batch_size,
                                  config.min_batch)
     total = config.pretrain_epochs * per_epoch
+    # Every draw of the loop, in its order: per epoch the minibatches, then
+    # one augmentation seed per minibatch. The views depend on nothing else,
+    # so a helper process computes them while the model trains.
+    plan = [(chunk, _draw_seed(seeder))
+            for _ in range(config.pretrain_epochs)
+            for chunk in _minibatches(x.shape[0], config.batch_size, seeder,
+                                      config.min_batch)]
     records: list[MetricsRecord] = []
     last_good = models.Checkpoint.of(mp, fp, 0)
     step = 0
     try:
-        for epoch in range(config.pretrain_epochs):
-            loss_sum = 0.0
-            for chunk in _minibatches(x.shape[0], config.batch_size, seeder,
-                                      config.min_batch):
-                loss = _swap_term(config, mp, x[chunk], _draw_seed(seeder))
-                val = loss.item()
-                if not math.isfinite(val):
-                    raise NumericError(f"non-finite loss {val}")
-                ad.backward(loss)
-                opt.step(step / total)
-                ssl_swap.prototype_normalize(mp.prototypes)
-                loss_sum += val
-                step += 1
-            ckpt = _finite_checkpoint(mp, fp, 0)
-            mean = loss_sum / per_epoch
-            s_acc, t_acc = evaluator(mp) if evaluator else (-1.0, -1.0)
-            records.append(MetricsRecord(
-                stage=0, epoch=epoch, swap=mean, dal=0.0, ent=0.0, vat=0.0,
-                total=mean, coreset_size=0, source_probe_acc=s_acc,
-                target_acc=t_acc))
-            last_good = ckpt
+        with contextlib.closing(_stream_two_views(x, plan)) as views:
+            for epoch in range(config.pretrain_epochs):
+                loss_sum = 0.0
+                for va, vb in itertools.islice(views, per_epoch):
+                    loss = _swap_term(config, mp, va, vb)
+                    val = loss.item()
+                    if not math.isfinite(val):
+                        raise NumericError(f"non-finite loss {val}")
+                    ad.backward(loss)
+                    opt.step(step / total)
+                    ssl_swap.prototype_normalize(mp.prototypes)
+                    loss_sum += val
+                    step += 1
+                ckpt = _finite_checkpoint(mp, fp, 0)
+                mean = loss_sum / per_epoch
+                s_acc, t_acc = evaluator(mp) if evaluator else (-1.0, -1.0)
+                records.append(MetricsRecord(
+                    stage=0, epoch=epoch, swap=mean, dal=0.0, ent=0.0,
+                    vat=0.0, total=mean, coreset_size=0,
+                    source_probe_acc=s_acc, target_acc=t_acc))
+                last_good = ckpt
     except NumericError as exc:
         raise _diverged(exc, "pretraining", 0, epoch, step, last_good)
     return last_good, records
@@ -739,7 +811,7 @@ def _train_target(config: RunConfig, tgt: models.ModelParams,
     total = config.target_epochs * per_epoch
 
     def fn(x: Tensor) -> Tensor:  # the target model's prototype distribution
-        z = models.encode(tgt.encoder, x, normalize=True)
+        z = _unit_embeddings(tgt.encoder, x)
         return ad.softmax(models.prototype_scores(z, tgt.prototypes,
                                                   config.tau), axis=1)
 
@@ -751,7 +823,8 @@ def _train_target(config: RunConfig, tgt: models.ModelParams,
             for chunk in _minibatches(core_x.shape[0], config.batch_size,
                                       seeder, config.min_batch):
                 xb = core_x[chunk]
-                swap = _swap_term(config, tgt, xb, _draw_seed(seeder))
+                swap = _swap_term(config, tgt, *data.augment_two_views(
+                    xb, _draw_seed(seeder)))
                 vat_seed = _draw_seed(seeder)
                 ent = vat = dal = Tensor(0.0)
                 # the one clean pass of the step: entropy differentiates it,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from a3 import cli, container, data, models, pipeline
+from helpers import exit_in_child
 
 TINY = ["--samples-per-class", "20", "--pretrain-epochs", "3",
         "--target-epochs", "2", "--rotation-epochs", "2",
@@ -177,6 +178,17 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_dead_augmentation_helper_is_error_line(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(data, "augment_two_views",
+                            exit_in_child(os.getpid(), 5))
+        assert cli.main(["pretrain", "--out", str(tmp_path / "run")]
+                        + TINY) == 2
+        assert capsys.readouterr().err == (
+            "error: the augmentation helper process ended early with exit "
+            "status 5\n")
+        assert not (tmp_path / "run").exists()
+
     def test_numeric_abort_saves_last_good(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
             rc = cli.main(["pretrain", "--out", str(tmp_path),
@@ -316,6 +328,26 @@ class TestDivergenceStderr:
                         "--samples-per-class", "4", "--pretrain-epochs", "3",
                         "--ssl-lr", "1.7e308"], warnings="default")
         self.assert_two_lines(proc, "pretraining", out / "source_ckpt.bin")
+
+    def test_pretrain_underflowing_softmax(self, tmp_path):
+        # at tau = 1e-3 the softmax underflows to 0, whose log is -inf
+        out = tmp_path / "run"
+        proc = run_cli(["pretrain", "--out", str(out), "--tau", "0.001",
+                        "--pretrain-epochs", "1", "--seed", "0"],
+                       warnings="default")
+        self.assert_two_lines(proc, "pretraining", out / "source_ckpt.bin")
+        assert proc.stderr.splitlines()[0].endswith(": non-finite loss inf")
+
+    def test_pretrain_zero_embedding(self, tmp_path):
+        # a one-unit ReLU layer maps rows to exactly zero
+        out = tmp_path / "run"
+        proc = run_cli(["pretrain", "--out", str(out), "--encoder-widths", "1",
+                        "--pretrain-epochs", "1", "--seed", "0"],
+                       warnings="default")
+        self.assert_two_lines(proc, "pretraining", out / "source_ckpt.bin")
+        assert "to a zero embedding" in proc.stderr
+        saved = models.load_checkpoint(out / "source_ckpt.bin")
+        assert models.first_non_finite(saved.tensors) is None
 
     def test_adapt(self, workdir, tmp_path):
         proc = run_cli(["adapt", "--source-ckpt",

@@ -4,6 +4,7 @@ probe evaluation, and the pretraining/adaptation loops on small bundles."""
 import dataclasses
 import inspect
 import json
+import os
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from a3 import container, data, models, pipeline
 from a3.errors import ConfigError, FormatError, NumericError
+from helpers import exit_in_child
 
 
 def small_config(**kw):
@@ -478,6 +480,114 @@ class TestPretrain:
         _, records = pipeline.pretrain_source(cfg, bundle.source_x)
         assert all(r.source_probe_acc == -1.0 and r.target_acc == -1.0
                    for r in records)
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestViewStream:
+    """Pretraining's views come from a forked helper process; they must be
+    the views the plan names, and no exit path may leave the helper."""
+
+    def plan(self, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        chunks = [c for _ in range(3)
+                  for c in np.array_split(rng.permutation(n),
+                                          range(batch, n, batch))]
+        return [(c, int(rng.integers(0, 2 ** 63))) for c in chunks]
+
+    def test_views_equal_in_process_augmentation(self):
+        x = np.random.default_rng(0).random((150, 256))
+        plan = self.plan(150, 64, 1)
+        assert [c.shape[0] for c, _ in plan[:3]] == [64, 64, 22]
+        got = list(pipeline._stream_two_views(x, plan))
+        assert len(got) == len(plan)
+        for (chunk, seed), views in zip(plan, got):
+            want = data.augment_two_views(x[chunk], seed)
+            assert all(np.array_equal(g, w) for g, w in zip(views, want))
+        assert_no_child_process()
+
+    def test_pretraining_equals_in_process_augmentation(self, monkeypatch):
+        cfg = small_config(pretrain_epochs=2)
+        bundle = make_bundle(cfg)
+        ckpt, records = pipeline.pretrain_source(cfg, bundle.source_x)
+        assert_no_child_process()
+        plans = []
+
+        def in_process(x, plan):
+            plans.append(plan)
+            for chunk, seed in plan:
+                yield data.augment_two_views(x[chunk], seed)
+
+        monkeypatch.setattr(pipeline, "_stream_two_views", in_process)
+        ref, ref_records = pipeline.pretrain_source(cfg, bundle.source_x)
+        assert checkpoints_equal(ckpt, ref) and records == ref_records
+        # the plan keeps the seeder's order: after the initialization draw,
+        # per epoch the minibatches and then one seed per minibatch
+        seeder = pipeline._phase_seeder(cfg.seed, pipeline.PHASE_PRETRAIN)
+        pipeline._draw_seed(seeder)
+        want = []
+        for _ in range(cfg.pretrain_epochs):
+            for chunk in pipeline._minibatches(bundle.source_x.shape[0],
+                                               cfg.batch_size, seeder,
+                                               cfg.min_batch):
+                want.append((chunk, pipeline._draw_seed(seeder)))
+        [plan] = plans
+        assert len(plan) == len(want)
+        assert all(np.array_equal(c, wc) and s == ws
+                   for (c, s), (wc, ws) in zip(plan, want))
+
+    def test_no_child_after_divergence(self):
+        cfg = small_config(samples_per_class=4, pretrain_epochs=3,
+                           ssl_lr=1.7e308)
+        bundle = make_bundle(cfg)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError):
+                pipeline.pretrain_source(cfg, bundle.source_x)
+        assert_no_child_process()
+
+    def test_no_child_after_early_close(self):
+        x = np.random.default_rng(0).random((300, 256))
+        stream = pipeline._stream_two_views(x, self.plan(300, 64, 2))
+        next(stream)
+        stream.close()
+        assert_no_child_process()
+
+    def test_dead_helper_raises_its_exit_status(self, monkeypatch):
+        monkeypatch.setattr(data, "augment_two_views",
+                            exit_in_child(os.getpid(), 7))
+        cfg = small_config(pretrain_epochs=1)
+        bundle = make_bundle(cfg)
+        with pytest.raises(ChildProcessError, match="exit status 7"):
+            pipeline.pretrain_source(cfg, bundle.source_x)
+        assert_no_child_process()
+
+    def test_zero_embedding_is_a_placed_divergence(self):
+        # a one-unit ReLU layer maps many rows to exactly zero
+        cfg = small_config(encoder_widths="1", pretrain_epochs=3)
+        bundle = make_bundle(cfg)
+        with pytest.raises(NumericError) as info:
+            pipeline.pretrain_source(cfg, bundle.source_x)
+        assert info.value.where == ("pretraining", 0, 0, 0)
+        assert str(info.value) == (
+            "pretraining diverged at stage 0, epoch 0, step 0: the encoder "
+            "maps minibatch row 33 to a zero embedding")
+        assert models.first_non_finite(info.value.last_good.tensors) is None
+        assert_no_child_process()
+
+    def test_zero_embedding_in_adaptation_is_a_placed_divergence(self):
+        cfg = small_config()
+        bundle = make_bundle(cfg)
+        ckpt, _ = pipeline.pretrain_source(cfg, bundle.source_x)
+        ckpt.tensors["encoder.projection"][:] = 0.0
+        with pytest.raises(NumericError,
+                           match="maps minibatch row 0 to a zero embedding") \
+                as info:
+            pipeline.adapt(cfg, ckpt, bundle.target_x)
+        assert info.value.where == ("adaptation", 1, 0, 0)
+        assert info.value.last_good.stage == 0
 
 
 class TestAdapt:
