@@ -89,9 +89,23 @@ def bald_mutual_info(stack: np.ndarray) -> float:
 # Diversity
 # ---------------------------------------------------------------------------
 
+# Elements of the (rows, k, p) difference that `_sq_dists` holds at once.
+_DIST_BLOCK = 1 << 16
+
+
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkp,nkp->nk", diff, diff)
+    """Exact squared distances, (N, k), from the (N, k, p) difference array
+    taken in row blocks of about `_DIST_BLOCK` elements. Each element's p-sum
+    is the same einsum whatever the block, so the result does not depend on
+    it bit for bit."""
+    n = x.shape[0]
+    k, p = centroids.shape
+    rows = max(1, _DIST_BLOCK // (k * p))
+    out = np.empty((n, k))
+    for start in range(0, n, rows):
+        diff = x[start:start + rows, None, :] - centroids[None, :, :]
+        out[start:start + rows] = np.einsum("nkp,nkp->nk", diff, diff)
+    return out
 
 
 def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -223,23 +237,30 @@ def _square_side(d: int) -> int:
 
 
 def build_rotation_pool(target_pool: np.ndarray, seed: int):
-    """Each pool image once per rotation class, shuffled deterministically.
+    """Each pool image once per rotation class, shuffled deterministically,
+    without building the 4N rotated rows.
 
-    Returns (x of shape (4N, d), labels of shape (4N,)) where label j means
-    j quarter turns. Row m is image order[m] // 4 turned order[m] % 4 times,
-    for a seeded permutation `order` of range(4N).
+    Returns (rows, labels): labels has shape (4N,), label j meaning j
+    quarter turns, and rows(m) gathers rotated rows m as a new (len(m), d)
+    array. Row m is image order[m] // 4 turned order[m] % 4 times, for a
+    seeded permutation `order` of range(4N). A turn only moves pixels, so
+    each row equals `np.rot90` of its image bit for bit.
     """
     x = np.asarray(target_pool, dtype=np.float64)
     n, d = x.shape
     side = _square_side(d)
     order = np.random.default_rng(seed).permutation(4 * n)
     image, turns = np.divmod(order, 4)
-    grids = x.reshape(n, side, side)
-    xs = np.empty((4 * n, d))
-    for j in range(4):
-        rows = turns == j
-        xs[rows] = np.rot90(grids, j, axes=(1, 2))[image[rows]].reshape(-1, d)
-    return xs, turns.astype(np.int64, copy=False)
+    # perms[j, q] is the pixel that j quarter turns move to position q
+    pixels = np.arange(d).reshape(side, side)
+    perms = np.stack([np.rot90(pixels, j).reshape(-1) for j in range(4)])
+    offsets = image * d
+    flat = x.reshape(-1)
+
+    def rows(m: np.ndarray) -> np.ndarray:
+        return flat.take(offsets[m, None] + perms[turns[m]])
+
+    return rows, turns.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

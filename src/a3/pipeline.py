@@ -702,25 +702,26 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
 def _train_rotation(config: RunConfig, mp: models.ModelParams,
                     pool_x: np.ndarray, seeder: np.random.Generator,
                     stage: int) -> None:
-    """Cross-entropy training of the rotation model on a 4x rotation pool."""
+    """Cross-entropy training of the rotation model on every pool image
+    under each of the four rotations; each minibatch gathers its rotated
+    rows from the pool."""
     rot = mp.rotation
-    rx, ry = active.build_rotation_pool(pool_x, _draw_seed(seeder))
+    rows, labels = active.build_rotation_pool(pool_x, _draw_seed(seeder))
     mask_rng = np.random.default_rng(_draw_seed(seeder))
     opt = Sgd(models.param_group(mp, "rotation."), config.rotation_lr,
               "multistep", config.momentum, config.weight_decay)
-    onehot = np.eye(4)[ry]
-    total = config.rotation_epochs * _steps_per_epoch(rx.shape[0],
-                                                      config.batch_size, 2)
+    n = labels.shape[0]
+    total = config.rotation_epochs * _steps_per_epoch(n, config.batch_size, 2)
     step = 0
     for epoch in range(config.rotation_epochs):
-        for chunk in _minibatches(rx.shape[0], config.batch_size, seeder, 2):
+        for chunk in _minibatches(n, config.batch_size, seeder, 2):
             mask = models.dropout_mask(
                 mask_rng, (chunk.shape[0], rot.trunk.embed_dim),
                 rot.dropout_rate)
-            probs = models.rotation_predict(rot, rx[chunk], mask=mask)
+            probs = models.rotation_predict(rot, rows(chunk), mask=mask)
+            onehot = Tensor(np.eye(4)[labels[chunk]])
             picked = ad.tsum(ad.mul(ad.log(ad.clamp(
-                probs, alignment.PROB_FLOOR, 1.0)), Tensor(onehot[chunk])),
-                axis=1)
+                probs, alignment.PROB_FLOOR, 1.0)), onehot), axis=1)
             loss = ad.neg(ad.tmean(picked))
             if not math.isfinite(loss.item()):
                 raise _diverged(NumericError(f"non-finite loss {loss.item()}"),

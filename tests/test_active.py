@@ -105,6 +105,26 @@ def rotation_pool_reference(target_pool, seed):
     return xs[order], ys[order]
 
 
+def gather_checked(pool, seed):
+    """build_rotation_pool(pool, seed) gathered: all 4N rows at once, after
+    a shuffled 64-row chunk and the last row gather the reference's bytes."""
+    rows, ys = ac.build_rotation_pool(pool, seed)
+    want_x, _ = rotation_pool_reference(pool, seed)
+    n = ys.shape[0]
+    chunk = np.random.default_rng(seed).permutation(n)[:64]
+    for m in (chunk, np.array([n - 1])):
+        got = rows(m)
+        assert got.shape == (m.shape[0], pool.shape[1])
+        assert got.tobytes() == want_x[m].tobytes()
+    return rows(np.arange(n)), ys
+
+
+def sq_dists_reference(x, centroids):
+    """The one-shot (N, k, p) difference array that `_sq_dists` blocks."""
+    diff = x[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkp,nkp->nk", diff, diff)
+
+
 def grid_points(side, dims=2):
     """Integer lattice points: many rows tie exactly between centroids."""
     axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * dims,
@@ -318,6 +338,23 @@ class TestKmeans:
         assert np.array_equal(ac._nearest(x, c), exact)
         assert np.isnan(np.concatenate(fallback)).any()
 
+    @pytest.mark.parametrize("k,p", [(1, 32), (32, 32), (5, 7), (3, 300)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_blocked_sq_dists_equal_one_shot_einsum(self, k, p, scale):
+        rng = np.random.default_rng(33)
+        block = max(1, ac._DIST_BLOCK // (k * p))
+        c = rng.normal(size=(k + 2, p)) * scale
+        for n in (1, block - 1, block, block + 1, 2 * block + 3):
+            x = rng.normal(size=(max(n, 1), p)) * scale
+            cases = [(x, c[:k]), (x, c[1:k + 1]),
+                     (x, c[k:k + 1]),  # the k-means++ view of one centroid
+                     (x[x[:, 0] > 0.0], c[:k])]  # `_nearest`'s row subset
+            for a, b in cases:
+                got = ac._sq_dists(a, b)
+                want = sq_dists_reference(a, b)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_diversity_distances_match_brute_force(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(20, 3))
@@ -518,7 +555,7 @@ class TestRotationPool:
     def test_pool_size_labels_and_content(self):
         rng = np.random.default_rng(20)
         pool = rng.random((6, 16))
-        xs, ys = ac.build_rotation_pool(pool, seed=0)
+        xs, ys = gather_checked(pool, seed=0)
         assert xs.shape == (24, 16) and ys.shape == (24,)
         assert sorted(ys.tolist()) == sorted(list(range(4)) * 6)
         for xi, yi in zip(xs[:8], ys[:8]):
@@ -528,9 +565,9 @@ class TestRotationPool:
     def test_deterministic_and_seed_sensitive(self):
         rng = np.random.default_rng(21)
         pool = rng.random((5, 16))
-        a = ac.build_rotation_pool(pool, seed=3)
-        b = ac.build_rotation_pool(pool, seed=3)
-        c = ac.build_rotation_pool(pool, seed=4)
+        a = gather_checked(pool, seed=3)
+        b = gather_checked(pool, seed=3)
+        c = gather_checked(pool, seed=4)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
 
@@ -543,10 +580,24 @@ class TestRotationPool:
         for n, side in ((1, 4), (6, 4), (37, 16)):
             pool = rng.random((n, side * side))
             for seed in range(3):
-                xs, ys = ac.build_rotation_pool(pool, seed)
+                xs, ys = gather_checked(pool, seed)
                 want_x, want_y = rotation_pool_reference(pool, seed)
-                assert np.array_equal(xs, want_x)
+                assert xs.shape == want_x.shape
+                assert xs.tobytes() == want_x.tobytes()
                 assert np.array_equal(ys, want_y) and ys.dtype == np.int64
+
+    def test_strided_pool_and_signed_zero_keep_their_bytes(self):
+        # a turn moves pixels, so -0.0 stays -0.0; a strided view of the
+        # pool gathers what its contiguous copy does
+        rng = np.random.default_rng(23)
+        for side in (1, 2, 3, 8):
+            wide = rng.random((7, 2 * side * side))
+            wide[2, 0] = -0.0
+            pool = wide[:, ::2]
+            xs, _ = gather_checked(pool, seed=side)
+            assert xs.tobytes() == gather_checked(
+                np.ascontiguousarray(pool), seed=side)[0].tobytes()
+            assert np.signbit(xs[xs == 0.0]).any()
 
 
 class TestCoresetIo:

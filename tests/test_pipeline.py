@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -814,3 +815,39 @@ class TestAdapt:
         tck, core, records = pipeline.adapt(cfg, ckpt, bundle.target_x)
         assert len(core.selected) == cfg.budget_total
         assert len(records) == (cfg.n_cycles - 1) * cfg.target_epochs
+
+
+def traced_peak(fn, *args):
+    """Bytes that fn(*args) allocates at its peak, NumPy arrays included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Rotation training and pool scoring never hold an array that grows
+    with 4N rows or with N x k x p, for a pool of N rows of d pixels."""
+
+    n = 2000
+
+    def models_and_pool(self, **kw):
+        cfg = pipeline.RunConfig(encoder_widths="16", rotation_epochs=1,
+                                 kmeans_k=32, **kw)
+        pool = np.random.default_rng(0).random((self.n, cfg.in_dim))
+        mp = pipeline._init_models(cfg, np.random.default_rng(1), cfg.in_dim)
+        return cfg, pool, mp
+
+    def test_rotation_training_holds_less_than_the_pool(self):
+        cfg, pool, mp = self.models_and_pool(embed_dim=8)
+        peak = traced_peak(pipeline._train_rotation, cfg, mp, pool,
+                           np.random.default_rng(2), 0)
+        assert peak < self.n * cfg.in_dim * 8
+
+    def test_scoring_holds_less_than_the_distance_array(self):
+        cfg, pool, mp = self.models_and_pool()
+        peak = traced_peak(pipeline._score_indices, cfg, mp, pool,
+                           list(range(self.n)), np.random.default_rng(3))
+        assert peak < self.n * cfg.kmeans_k * cfg.embed_dim * 8
