@@ -139,6 +139,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     ckpt = models.load_checkpoint(args.ckpt)
     bundle = _load_or_make_bundle(args, config)
     _print_accs(pipeline.evaluate(ckpt, bundle))
+    print(f"checkpoint_stage = {ckpt.stage}")
+    match = ckpt.fingerprint == pipeline.config_fingerprint(config)
+    print(f"config_match = {'true' if match else 'false'}")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Parameter containers and forward passes for all networks in the pipeline.
 
-Four parameter groups: the encoder (MLP trunk plus a linear projection into
-the embedding space where prototypes live), the prototype matrix, a binary
-domain classifier, and a 4-way rotation classifier whose MC-dropout
-posterior drives acquisition. Checkpoints serialize every tensor by name
-together with a config fingerprint and the pipeline stage index.
+Checkpoints serialize three parameter groups by tensor name, together with
+a config fingerprint and the pipeline stage index: the encoder (MLP trunk
+plus a linear projection into the embedding space where prototypes live),
+the prototype matrix, and a binary domain classifier. The 4-way rotation
+classifier, whose MC-dropout posterior drives acquisition, is never saved.
 
 Every dense weight (the `.weight` and `.projection` tensors) is held in
 memory as (d_in, d_out), the layout its product ``h @ w`` reads, and is
@@ -90,12 +90,11 @@ class RotationClassifierParams:
 
 @dataclass
 class ModelParams:
-    """Everything trainable: encoder, prototypes, domain and rotation heads."""
+    """The checkpointed model: encoder, prototypes and domain head."""
 
     encoder: EncoderParams
     prototypes: Prototypes
     domain: DomainClassifierParams
-    rotation: RotationClassifierParams
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +246,14 @@ def named_tensors(mp: ModelParams) -> dict[str, Tensor]:
     out["domain.fc.bias"] = mp.domain.b1
     out["domain.logit.weight"] = mp.domain.w2
     out["domain.logit.bias"] = mp.domain.b2
-    out.update(encoder_tensor_map("rotation.trunk", mp.rotation.trunk))
-    out["rotation.head.weight"] = mp.rotation.head_w
-    out["rotation.head.bias"] = mp.rotation.head_b
+    return out
+
+
+def rotation_tensors(rp: RotationClassifierParams) -> dict[str, Tensor]:
+    """Stable name -> Tensor map over the rotation model's parameters."""
+    out = encoder_tensor_map("rotation.trunk", rp.trunk)
+    out["rotation.head.weight"] = rp.head_w
+    out["rotation.head.bias"] = rp.head_b
     return out
 
 
@@ -271,9 +275,7 @@ def _flip(name: str, a: np.ndarray) -> np.ndarray:
 
 def to_tensor_map(mp: ModelParams) -> dict[str, np.ndarray]:
     """Every tensor by name, dense weights in the checkpoint layout."""
-    arrays = {name: _flip(name, t.data) for name, t in named_tensors(mp).items()}
-    arrays["rotation.dropout_rate"] = np.asarray(mp.rotation.dropout_rate)
-    return arrays
+    return {name: _flip(name, t.data) for name, t in named_tensors(mp).items()}
 
 
 def _read(arrays: dict[str, np.ndarray], name: str,
@@ -294,30 +296,25 @@ def _read(arrays: dict[str, np.ndarray], name: str,
     return Tensor(_flip(name, a), requires_grad=True)
 
 
-def _read_encoder(prefix: str, arrays: dict[str, np.ndarray],
-                  in_dim: int | str) -> EncoderParams:
-    n_layers = 1
-    while f"{prefix}.layer{n_layers}.weight" in arrays:
-        n_layers += 1
-    layers = []
-    d_in = in_dim
-    for i in range(n_layers):
-        w = _read(arrays, f"{prefix}.layer{i}.weight", "width", d_in)
-        b = _read(arrays, f"{prefix}.layer{i}.bias", w.shape[1])
-        layers.append((w, b))
-        d_in = w.shape[1]
-    return EncoderParams(layers, _read(arrays, f"{prefix}.projection",
-                                       "embed_dim", d_in))
-
-
 def from_tensor_map(arrays: dict[str, np.ndarray]) -> ModelParams:
     """Rebuild the models; a missing tensor, or one whose shape disagrees
-    with the encoder it belongs with, is a FormatError naming it."""
-    enc = _read_encoder("encoder", arrays, "in_dim")
+    with the encoder it belongs with, is a FormatError naming it. Names the
+    models do not hold, such as the ``rotation.*`` entries of older
+    checkpoints, are not read."""
+    n_layers = 1
+    while f"encoder.layer{n_layers}.weight" in arrays:
+        n_layers += 1
+    layers = []
+    d_in: int | str = "in_dim"
+    for i in range(n_layers):
+        w = _read(arrays, f"encoder.layer{i}.weight", "width", d_in)
+        layers.append((w, _read(arrays, f"encoder.layer{i}.bias", w.shape[1])))
+        d_in = w.shape[1]
+    enc = EncoderParams(layers, _read(arrays, "encoder.projection",
+                                      "embed_dim", d_in))
     p = enc.embed_dim
     w1 = _read(arrays, "domain.fc.weight", "hidden", p)
     hidden = w1.shape[1]
-    trunk = _read_encoder("rotation.trunk", arrays, enc.in_dim)
     return ModelParams(
         encoder=enc,
         prototypes=Prototypes(_read(arrays, "prototypes.vectors", "k", p)),
@@ -325,11 +322,6 @@ def from_tensor_map(arrays: dict[str, np.ndarray]) -> ModelParams:
             w1=w1, b1=_read(arrays, "domain.fc.bias", hidden),
             w2=_read(arrays, "domain.logit.weight", 1, hidden),
             b2=_read(arrays, "domain.logit.bias", 1)),
-        rotation=RotationClassifierParams(
-            trunk=trunk,
-            head_w=_read(arrays, "rotation.head.weight", 4, trunk.embed_dim),
-            head_b=_read(arrays, "rotation.head.bias", 4),
-            dropout_rate=_read(arrays, "rotation.dropout_rate").item()),
     )
 
 

@@ -504,15 +504,13 @@ def check_target_pool(config: RunConfig, target_x: np.ndarray) -> None:
 
 def _init_models(config: RunConfig, rng: np.random.Generator,
                  in_dim: int) -> models.ModelParams:
-    enc = models.init_encoder(rng, in_dim, config.widths, config.embed_dim)
     return models.ModelParams(
-        encoder=enc,
+        encoder=models.init_encoder(rng, in_dim, config.widths,
+                                    config.embed_dim),
         prototypes=models.init_prototypes(rng, config.k_prototypes,
                                           config.embed_dim),
         domain=models.init_domain_classifier(rng, config.embed_dim,
                                              config.domain_hidden),
-        rotation=models.init_rotation_classifier(rng, enc,
-                                                 config.dropout_rate),
     )
 
 
@@ -551,12 +549,16 @@ def _diverged(exc: NumericError, phase: str, stage: int, epoch: int, step: int,
     return exc
 
 
-def _finite_checkpoint(mp: models.ModelParams, fingerprint: int,
-                       stage: int) -> models.Checkpoint:
-    """The checkpoint of mp; a non-finite parameter is a NumericError, so
-    no such checkpoint is ever kept as the last good one or returned."""
+def _finite_checkpoint(mp: models.ModelParams, fingerprint: int, stage: int,
+                       rot: models.RotationClassifierParams | None = None
+                       ) -> models.Checkpoint:
+    """The checkpoint of mp; a non-finite parameter of mp or of the rotation
+    model rot is a NumericError, so no such checkpoint is ever kept as the
+    last good one or returned."""
     ckpt = models.Checkpoint.of(mp, fingerprint, stage)
-    bad = models.first_non_finite(ckpt.tensors)
+    rot_arrays = {} if rot is None else {  # .T: the (d_out, d_in) layout
+        name: t.data.T for name, t in models.rotation_tensors(rot).items()}
+    bad = models.first_non_finite({**ckpt.tensors, **rot_arrays})
     if bad is not None:
         raise NumericError(
             f"non-finite parameter {bad[0]} at flat index {bad[1]}")
@@ -699,16 +701,15 @@ def pretrain_source(config: RunConfig, source_x: np.ndarray,
 # Rotation-model training
 # ---------------------------------------------------------------------------
 
-def _train_rotation(config: RunConfig, mp: models.ModelParams,
+def _train_rotation(config: RunConfig, rot: models.RotationClassifierParams,
                     pool_x: np.ndarray, seeder: np.random.Generator,
                     stage: int) -> None:
     """Cross-entropy training of the rotation model on every pool image
     under each of the four rotations; each minibatch gathers its rotated
     rows from the pool."""
-    rot = mp.rotation
     rows, labels = active.build_rotation_pool(pool_x, _draw_seed(seeder))
     mask_rng = np.random.default_rng(_draw_seed(seeder))
-    opt = Sgd(models.param_group(mp, "rotation."), config.rotation_lr,
+    opt = Sgd(models.rotation_tensors(rot), config.rotation_lr,
               "multistep", config.momentum, config.weight_decay)
     n = labels.shape[0]
     total = config.rotation_epochs * _steps_per_epoch(n, config.batch_size, 2)
@@ -736,7 +737,8 @@ def _train_rotation(config: RunConfig, mp: models.ModelParams,
 # ---------------------------------------------------------------------------
 
 def _score_indices(config: RunConfig, mp: models.ModelParams,
-                   x_t: np.ndarray, indices: list[int],
+                   rot: models.RotationClassifierParams, x_t: np.ndarray,
+                   indices: list[int],
                    seeder: np.random.Generator) -> np.ndarray:
     """The given pool indices ranked best first under config.acquisition."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -744,7 +746,7 @@ def _score_indices(config: RunConfig, mp: models.ModelParams,
     seed_mc = _draw_seed(seeder)
     seed_kmeans = _draw_seed(seeder)
     seed_mode = _draw_seed(seeder)
-    stack = active.mc_dropout_probs(mp.rotation, xs, config.t_passes, seed_mc)
+    stack = active.mc_dropout_probs(rot, xs, config.t_passes, seed_mc)
     unc = [active.bald_mutual_info(stack[i]) for i in range(idx.shape[0])]
     emb = _embed(mp.encoder, xs)
     k = min(config.kmeans_k, idx.shape[0])
@@ -889,7 +891,7 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
     fp = config_fingerprint(config)
     seeder = _phase_seeder(config.seed, PHASE_ADAPT)
     tgt = source_ckpt.models()
-    tgt.rotation = models.init_rotation_classifier(
+    rot = models.init_rotation_classifier(
         np.random.default_rng(_draw_seed(seeder)), src.encoder,
         config.dropout_rate)
     if out_dir is not None:
@@ -905,18 +907,18 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
         last_good = _finite_checkpoint(tgt, fp, 0)
         # Initial pretext fit on the full pool so stage-0 uncertainty scores
         # come from a model that has actually seen the target domain.
-        _train_rotation(config, tgt, x_t, seeder, stage)
+        _train_rotation(config, rot, x_t, seeder, stage)
 
         for cyc in range(n_stages):
             stage, epoch, step = cyc + 1, 0, 0
             if cyc > 0 and not config.warm_start:
-                tgt = dataclasses.replace(source_ckpt.models(),
-                                          rotation=tgt.rotation)
+                tgt = source_ckpt.models()
 
             # 1. acquire: a static partition is ranked once, on the first
             # cycle, and hands out its batches in order
             if config.rescore_each_cycle or cyc == 0:
-                ranked = _score_indices(config, tgt, x_t, remaining, seeder)
+                ranked = _score_indices(config, tgt, rot, x_t, remaining,
+                                        seeder)
                 batches = np.array_split(ranked, n_stages - cyc)
             batch = batches[0 if config.rescore_each_cycle else cyc]
             core = active.CoreSet(core.selected + batch[:per_cycle].tolist(),
@@ -934,11 +936,11 @@ def adapt(config: RunConfig, source_ckpt: models.Checkpoint,
                 core_x.shape[0], config.batch_size, config.min_batch)
 
             # 3. retrain the rotation model on the core-set
-            _train_rotation(config, tgt, core_x, seeder, stage)
+            _train_rotation(config, rot, core_x, seeder, stage)
 
-            # 4. keep: the cycle's model is the last good one only once it
-            # embeds the target pool finitely
-            ckpt = _finite_checkpoint(tgt, fp, stage)
+            # 4. keep: the cycle's model is the last good one only if it and
+            # the rotation model are finite and it embeds the pool finitely
+            ckpt = _finite_checkpoint(tgt, fp, stage, rot)
             z_t = _finite_target_embeddings(tgt.encoder, x_t)
             if out_dir is not None:
                 dump_embeddings(Path(out_dir) / f"embeds_stage{stage}.bin",

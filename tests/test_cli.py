@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,16 +279,12 @@ class TestNonFiniteCheckpoints:
 
 class TestMalformedCheckpoints:
     @pytest.mark.parametrize("name,edit", [
-        ("rotation.dropout_rate", lambda t: t.update(
-            {"rotation.dropout_rate": np.array([0.25, 0.25])})),
-        ("rotation.dropout_rate", lambda t: t.pop("rotation.dropout_rate")),
         ("prototypes.vectors", lambda t: t.update(
             {"prototypes.vectors": t["prototypes.vectors"].reshape(-1)})),
         ("domain.fc.weight",
          lambda t: t.update({"domain.fc.weight": np.zeros((64, 5))})),
         ("domain.fc.bias", lambda t: t.pop("domain.fc.bias")),
-    ], ids=["dropout_rate_2_elements", "dropout_rate_missing",
-            "prototypes_1d", "domain_fc_weight_64x5",
+    ], ids=["prototypes_1d", "domain_fc_weight_64x5",
             "domain_fc_bias_missing"])
     def test_eval_and_adapt_exit_2_naming_the_tensor(self, workdir, tmp_path,
                                                      name, edit):
@@ -396,6 +393,75 @@ class TestDivergenceStderr:
         assert np.all(np.isfinite(z.data))
 
 
+    def test_adapt_non_finite_rotation_model(self, workdir, tmp_path, capsys,
+                                             monkeypatch):
+        # the last step of a rotation retrain leaves an infinite weight
+        # after a finite loss; the keep step stops the run, since a NaN
+        # rotation model would give NaN BALD scores
+        train = pipeline._train_rotation
+
+        def last_step_overflows(config, rot, pool_x, seeder, stage):
+            train(config, rot, pool_x, seeder, stage)
+            if stage == 2:
+                rot.trunk.layers[0][0].data[0, 1] = np.inf
+
+        monkeypatch.setattr(pipeline, "_train_rotation", last_step_overflows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["adapt", "--source-ckpt",
+                           str(workdir / "source_ckpt.bin"), "--out",
+                           str(tmp_path), "--bundle",
+                           str(workdir / "bundle.bin")] + TINY)
+        assert not caught, [str(w.message) for w in caught]
+        assert rc == 3
+        # the flat index counts in the checkpoint layout (d_out, d_in)
+        assert capsys.readouterr().err.splitlines() == [
+            "error: adaptation diverged at stage 2, epoch 1, step 2: "
+            "non-finite parameter rotation.trunk.layer0.weight at flat "
+            "index 256",
+            f"last finite checkpoint saved to {tmp_path / 'target_ckpt.bin'}"]
+        saved = models.load_checkpoint(tmp_path / "target_ckpt.bin")
+        assert saved.stage == 1
+        assert models.first_non_finite(saved.tensors) is None
+
+
+class TestOlderCheckpoints:
+    def test_rotation_entries_change_no_output(self, workdir, tmp_path,
+                                               capsys):
+        """A source checkpoint in the older layout, which also held the
+        rotation model's eight entries, evaluates and adapts to the same
+        bytes as the checkpoint without them."""
+        ckpt = models.load_checkpoint(workdir / "source_ckpt.bin")
+        rng = np.random.default_rng(0)
+        legacy = dict(ckpt.tensors)
+        for name in ("layer0.weight", "layer0.bias", "layer1.weight",
+                     "layer1.bias", "projection"):
+            legacy[f"rotation.trunk.{name}"] = ckpt.tensors[f"encoder.{name}"]
+        legacy["rotation.head.weight"] = rng.normal(size=(4, 32))
+        legacy["rotation.head.bias"] = np.zeros(4)
+        legacy["rotation.dropout_rate"] = np.asarray(0.25)
+        path = tmp_path / "legacy.bin"
+        with open(path, "wb") as f:
+            f.write(container.MAGIC_CHECKPOINT)
+            container.write_tensor_map(f, legacy)
+            f.write(struct.pack("<QQ", ckpt.fingerprint, ckpt.stage))
+        assert len(tensors_in(path)) == len(ckpt.tensors) + 8
+
+        bundle = ["--bundle", str(workdir / "bundle.bin")] + TINY
+        runs = []
+        for name, source in (("stripped", workdir / "source_ckpt.bin"),
+                             ("legacy", path)):
+            out = tmp_path / name
+            assert cli.main(["eval", "--ckpt", str(source)] + bundle) == 0
+            assert cli.main(["adapt", "--source-ckpt", str(source), "--out",
+                             str(out)] + bundle) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((stdout, files))
+        assert runs[0] == runs[1]
+        assert "target_ckpt.bin" in runs[0][1]
+
+
 class TestWorkflow:
     def test_gen_writes_loadable_bundle(self, workdir):
         bundle = data.load_bundle(workdir / "bundle.bin")
@@ -426,8 +492,24 @@ class TestWorkflow:
         rc = cli.main(["eval", "--ckpt", str(workdir / "target_ckpt.bin"),
                        "--bundle", str(workdir / "bundle.bin")] + TINY)
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "source_probe_acc" in out and "target_acc" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in lines[:2]] \
+            == ["source_probe_acc", "target_acc"]
+        assert lines[2:] == ["checkpoint_stage = 3", "config_match = true"]
+
+    @pytest.mark.parametrize("ckpt,flags,stage,match", [
+        ("source_ckpt.bin", [], 0, "true"),
+        ("target_ckpt.bin", ["--seed", "1"], 3, "false"),
+        ("target_ckpt.bin", ["--lambda1", "0.5"], 3, "false"),
+    ], ids=["source", "other_seed", "other_lambda1"])
+    def test_eval_shows_stage_and_config_match(self, workdir, capsys, ckpt,
+                                               flags, stage, match):
+        # the fingerprint covers the whole config, data settings or not
+        rc = cli.main(["eval", "--ckpt", str(workdir / ckpt), "--bundle",
+                       str(workdir / "bundle.bin")] + TINY + flags)
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            f"checkpoint_stage = {stage}", f"config_match = {match}"]
 
     def test_report_rows_per_stage(self, workdir, capsys):
         rc = cli.main(["report", "--metrics",

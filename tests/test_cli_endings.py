@@ -150,5 +150,8 @@ def test_every_small_config_ends_in_a_documented_way(config):
                               str(target / cli.TARGET_CKPT_NAME),
                               *with_bundle])
         assert (code, err) == (0, ""), err
-        accs = [float(line.split(" = ")[1]) for line in out.splitlines()]
+        lines = out.splitlines()
+        accs = [float(line.split(" = ")[1]) for line in lines[:2]]
         assert len(accs) == 2 and all(np.isfinite(accs))
+        assert lines[2:] == [f"checkpoint_stage = {config['n_cycles'] - 1}",
+                             "config_match = true"]

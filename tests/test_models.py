@@ -17,13 +17,18 @@ from a3.errors import ConfigError, ContractError, FormatError, ShapeError
 
 def tiny_models(seed: int = 0, in_dim: int = 9) -> m.ModelParams:
     rng = np.random.default_rng(seed)
-    enc = m.init_encoder(rng, in_dim, widths=(12, 10), embed_dim=6)
     return m.ModelParams(
-        encoder=enc,
+        encoder=m.init_encoder(rng, in_dim, widths=(12, 10), embed_dim=6),
         prototypes=m.init_prototypes(rng, 4, 6),
         domain=m.init_domain_classifier(rng, 6, hidden=5),
-        rotation=m.init_rotation_classifier(rng, enc, dropout_rate=0.25),
     )
+
+
+def tiny_rotation(seed: int = 0) -> m.RotationClassifierParams:
+    """A rotation model whose trunk is tiny_models(seed)'s encoder."""
+    enc = tiny_models(seed).encoder
+    return m.init_rotation_classifier(np.random.default_rng(seed), enc,
+                                      dropout_rate=0.25)
 
 
 def recorded_ops(t: ad.Tensor) -> list[str]:
@@ -153,41 +158,41 @@ class TestDomainProb:
 
 class TestRotationPredict:
     def test_rows_sum_to_one(self):
-        mp = tiny_models(6)
+        rot = tiny_rotation(6)
         rng = np.random.default_rng(2)
-        probs = m.rotation_predict(mp.rotation, rng.normal(size=(10, 9)))
+        probs = m.rotation_predict(rot, rng.normal(size=(10, 9)))
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_all_ones_mask_equals_eval_mode(self):
-        mp = tiny_models(7)
+        rot = tiny_rotation(7)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 9))
-        eval_out = m.rotation_predict(mp.rotation, x).data
+        eval_out = m.rotation_predict(rot, x).data
         ones = np.ones((5, 6))
-        masked = m.rotation_predict(mp.rotation, x, mask=ones).data
+        masked = m.rotation_predict(rot, x, mask=ones).data
         assert np.array_equal(eval_out, masked)
 
     def test_distinct_masks_generally_differ(self):
-        mp = tiny_models(8)
+        rot = tiny_rotation(8)
         rng = np.random.default_rng(14)
         x = rng.normal(size=(6, 9))
         outs = []
         for _ in range(10):
             mask = (rng.random((6, 6)) >= 0.25).astype(np.float64)
-            outs.append(m.rotation_predict(mp.rotation, x, mask=mask).data)
+            outs.append(m.rotation_predict(rot, x, mask=mask).data)
         distinct = {arr.tobytes() for arr in outs}
         assert len(distinct) > 1
 
     def test_bad_mask_shape_raises(self):
-        mp = tiny_models(9)
+        rot = tiny_rotation(9)
         with pytest.raises(ShapeError):
-            m.rotation_predict(mp.rotation, np.ones((3, 9)), mask=np.ones((3, 5)))
+            m.rotation_predict(rot, np.ones((3, 9)), mask=np.ones((3, 5)))
 
     def test_bad_dropout_rate_rejected(self):
-        mp = tiny_models(10)
+        rot = tiny_rotation(10)
         with pytest.raises(ConfigError):
-            m.RotationClassifierParams(mp.rotation.trunk, mp.rotation.head_w,
-                                       mp.rotation.head_b, dropout_rate=1.0)
+            m.RotationClassifierParams(rot.trunk, rot.head_w, rot.head_b,
+                                       dropout_rate=1.0)
 
 
 class TestDropoutMask:
@@ -221,19 +226,26 @@ class TestParamGroup:
         (("encoder.", "domain."), ENCODER + DOMAIN),
         (("encoder.", "prototypes.", "domain."),
          ENCODER + ["prototypes.vectors"] + DOMAIN),
-        (("rotation.",), ["rotation.trunk.layer0.weight",
-                          "rotation.trunk.layer0.bias",
-                          "rotation.trunk.layer1.weight",
-                          "rotation.trunk.layer1.bias",
-                          "rotation.trunk.projection",
-                          "rotation.head.weight", "rotation.head.bias"]),
-    ], ids=["pretrain", "adapt_frozen", "adapt_unfrozen", "rotation"])
+    ], ids=["pretrain", "adapt_frozen", "adapt_unfrozen"])
     def test_names_and_tensors(self, prefixes, names):
         mp = tiny_models(18)
         group = m.param_group(mp, *prefixes)
         assert list(group) == names
         everything = m.named_tensors(mp)
         assert all(group[name] is everything[name] for name in names)
+
+    def test_rotation_tensors_are_the_rotation_models_own(self):
+        rot = tiny_rotation(18)
+        tensors = m.rotation_tensors(rot)
+        assert list(tensors) == [
+            "rotation.trunk.layer0.weight", "rotation.trunk.layer0.bias",
+            "rotation.trunk.layer1.weight", "rotation.trunk.layer1.bias",
+            "rotation.trunk.projection", "rotation.head.weight",
+            "rotation.head.bias"]
+        trunk = m.encoder_tensor_map("rotation.trunk", rot.trunk)
+        assert all(tensors[name] is t for name, t in trunk.items())
+        assert tensors["rotation.head.weight"] is rot.head_w
+        assert tensors["rotation.head.bias"] is rot.head_b
 
 
 class TestTensorContainer:
@@ -287,7 +299,6 @@ class TestTensorContainer:
 
 # (tensor, wrong value, expected shape) for tiny_models' dims
 WRONG_SHAPES = [
-    ("rotation.dropout_rate", np.array([0.25, 0.25]), "()"),
     ("prototypes.vectors", np.ones(24), "(k, 6)"),
     ("domain.fc.weight", np.ones((5, 5)), "(hidden, 6)"),
     ("domain.fc.bias", np.ones(4), "(5,)"),
@@ -296,9 +307,6 @@ WRONG_SHAPES = [
     ("encoder.layer0.bias", np.ones(11), "(12,)"),
     ("encoder.layer1.weight", np.ones((10, 11)), "(width, 12)"),
     ("encoder.projection", np.ones((6, 9)), "(embed_dim, 10)"),
-    ("rotation.trunk.layer0.weight", np.ones((12, 8)), "(width, 9)"),
-    ("rotation.head.weight", np.ones((4, 5)), "(4, 6)"),
-    ("rotation.head.bias", np.ones((4, 1)), "(4,)"),
 ]
 
 
@@ -319,7 +327,6 @@ class TestCheckpoint:
         back = m.Checkpoint.of(mp).models()
         for name, t in m.named_tensors(mp).items():
             assert np.array_equal(m.named_tensors(back)[name].data, t.data), name
-        assert back.rotation.dropout_rate == mp.rotation.dropout_rate
 
     def test_file_round_trip_gives_identical_arrays(self, tmp_path):
         mp = tiny_models(19)
@@ -342,14 +349,11 @@ class TestCheckpoint:
                                                   size=(width, prev))
             prev = width
         want["projection"] = rng.normal(0.0, 1.0 / np.sqrt(prev), size=(6, prev))
-        want = {prefix + name: a for name, a in want.items()
-                for prefix in ("encoder.", "rotation.trunk.")}
+        want = {"encoder." + name: a for name, a in want.items()}
         rng.normal(size=(4, 6))  # prototypes
         want["domain.fc.weight"] = rng.normal(0.0, np.sqrt(2.0 / 6), size=(5, 6))
         want["domain.logit.weight"] = rng.normal(0.0, 1.0 / np.sqrt(5),
                                                  size=(1, 5))
-        want["rotation.head.weight"] = rng.normal(0.0, 1.0 / np.sqrt(6),
-                                                  size=(4, 6))
 
         arrays = m.to_tensor_map(mp)
         assert {n for n in arrays if n.endswith((".weight", ".projection"))} \
@@ -394,11 +398,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="^" + re.escape(want) + "$"):
             m.from_tensor_map(arrays)
 
-    def test_missing_dropout_rate_rejected(self):
+    def test_rotation_entries_of_older_checkpoints_are_not_read(self):
+        # older checkpoints also held the rotation model; malformed or not,
+        # those entries change nothing
         arrays = m.to_tensor_map(tiny_models(15))
-        del arrays["rotation.dropout_rate"]
-        with pytest.raises(FormatError, match="'rotation.dropout_rate'"):
-            m.from_tensor_map(arrays)
+        legacy = {**arrays, "rotation.dropout_rate": np.ones(2),
+                  "rotation.trunk.layer0.weight": np.ones((12, 8)),
+                  "rotation.head.bias": np.full(3, np.nan)}
+        back = m.to_tensor_map(m.from_tensor_map(legacy))
+        assert list(back) == list(arrays)
+        assert all(back[n].tobytes() == a.tobytes() for n, a in arrays.items())
 
     def test_clone_is_deep(self):
         # adapt builds its source and target models from two models() calls

@@ -816,6 +816,32 @@ class TestAdapt:
         assert len(core.selected) == cfg.budget_total
         assert len(records) == (cfg.n_cycles - 1) * cfg.target_epochs
 
+    def test_every_source_tensor_reaches_the_outputs(self):
+        # a checkpoint tensor whose perturbation changes neither the target
+        # checkpoint nor the core-set is state that nothing reads
+        cfg = small_config(samples_per_class=8, encoder_widths="16",
+                           pretrain_epochs=1, target_epochs=1,
+                           rotation_epochs=1, budget_total=48, kmeans_k=4,
+                           t_passes=2)
+        bundle = make_bundle(cfg)
+        source, _ = pipeline.pretrain_source(cfg, bundle.source_x)
+
+        def adapted(tensors):
+            ckpt, core, _ = pipeline.adapt(
+                cfg, models.Checkpoint(tensors, source.fingerprint, 0),
+                bundle.target_x)
+            return ckpt, core.selected
+
+        base_ckpt, base_core = adapted(source.tensors)
+        rng = np.random.default_rng(0)
+        unread = []
+        for name, a in source.tensors.items():
+            perturbed = a + rng.normal(0.0, 1e-3, size=a.shape)
+            ckpt, core = adapted({**source.tensors, name: perturbed})
+            if core == base_core and checkpoints_equal(ckpt, base_ckpt):
+                unread.append(name)
+        assert unread == []
+
 
 def traced_peak(fn, *args):
     """Bytes that fn(*args) allocates at its peak, NumPy arrays included."""
@@ -838,16 +864,18 @@ class TestWorkingSet:
                                  kmeans_k=32, **kw)
         pool = np.random.default_rng(0).random((self.n, cfg.in_dim))
         mp = pipeline._init_models(cfg, np.random.default_rng(1), cfg.in_dim)
-        return cfg, pool, mp
+        rot = models.init_rotation_classifier(
+            np.random.default_rng(4), mp.encoder, cfg.dropout_rate)
+        return cfg, pool, mp, rot
 
     def test_rotation_training_holds_less_than_the_pool(self):
-        cfg, pool, mp = self.models_and_pool(embed_dim=8)
-        peak = traced_peak(pipeline._train_rotation, cfg, mp, pool,
+        cfg, pool, _, rot = self.models_and_pool(embed_dim=8)
+        peak = traced_peak(pipeline._train_rotation, cfg, rot, pool,
                            np.random.default_rng(2), 0)
         assert peak < self.n * cfg.in_dim * 8
 
     def test_scoring_holds_less_than_the_distance_array(self):
-        cfg, pool, mp = self.models_and_pool()
-        peak = traced_peak(pipeline._score_indices, cfg, mp, pool,
+        cfg, pool, mp, rot = self.models_and_pool()
+        peak = traced_peak(pipeline._score_indices, cfg, mp, rot, pool,
                            list(range(self.n)), np.random.default_rng(3))
         assert peak < self.n * cfg.kmeans_k * cfg.embed_dim * 8

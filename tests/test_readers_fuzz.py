@@ -36,11 +36,10 @@ def bundle_bytes(tmp_path) -> bytes:
 
 def checkpoint_bytes(tmp_path) -> bytes:
     rng = np.random.default_rng(0)
-    enc = models.init_encoder(rng, 16, widths=(6,), embed_dim=4)
     mp = models.ModelParams(
-        encoder=enc, prototypes=models.init_prototypes(rng, 3, 4),
-        domain=models.init_domain_classifier(rng, 4, hidden=3),
-        rotation=models.init_rotation_classifier(rng, enc, dropout_rate=0.25))
+        encoder=models.init_encoder(rng, 16, widths=(6,), embed_dim=4),
+        prototypes=models.init_prototypes(rng, 3, 4),
+        domain=models.init_domain_classifier(rng, 4, hidden=3))
     path = tmp_path / "ckpt.bin"
     models.save_checkpoint(path, models.Checkpoint.of(mp, 7, 1))
     return path.read_bytes()
